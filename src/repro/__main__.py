@@ -196,6 +196,17 @@ from repro.analysis.tables import table_1_configuration, table_2_workloads
 from repro.analysis.validation import validate_all
 
 
+def _usage(command: str, section: str) -> str:
+    """A subcommand's usage: its ``<section>::`` block of the module docstring."""
+    lines = __doc__.splitlines()
+    start = lines.index(f"{section}::")
+    end = next((i for i in range(start + 1, len(lines))
+                if lines[i].endswith("::") and not lines[i].startswith(" ")),
+               len(lines))
+    body = "\n".join(lines[start:end]).rstrip()
+    return f"usage: python -m repro {command} [options]\n\n{body}"
+
+
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -474,8 +485,7 @@ def _write_perf_report(result, path) -> int:
         f"cache {report['cache_seconds']:.3f}s (worker-time aggregates)"
     )
     print(
-        f"perf: backend={report['backend'] or 'n/a'} | "
-        f"{report['events_processed']} engine events "
+        f"perf: {report['events_processed']} engine events "
         f"({report['events_per_sec']:.0f} events/sec of simulate time)"
     )
     for warning in report.get("warnings", ()):
@@ -540,6 +550,9 @@ def _cmd_sweep(args: List[str]) -> int:
                 profile = True
                 index += 1
                 continue
+            if flag in ("-h", "--help"):
+                print(_usage("sweep", "Sweep options"))
+                return 0
             if flag.startswith("--") and index + 1 >= len(args):
                 print(f"missing value for {flag}")
                 return 2
@@ -749,6 +762,9 @@ def _cmd_dispatch(args: List[str]) -> int:
     try:
         while index < len(args):
             flag = args[index]
+            if flag in ("-h", "--help"):
+                print(_usage("dispatch", "Dispatch options"))
+                return 0
             if flag.startswith("--") and index + 1 >= len(args):
                 print(f"missing value for {flag}")
                 return 2

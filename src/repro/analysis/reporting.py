@@ -58,12 +58,11 @@ GOLDEN_SCALE = 0.1
 
 #: The override-axis sweep whose ``sensitivity.csv`` surface is drift-gated.
 #: The fig10 grid carries no override axis, so its artifact set never emits
-#: a sensitivity table; this companion sweep runs the ``sim.backend``
-#: ablation and its goldens live in the ``sensitivity/`` subdirectory (the
-#: top-level goldens stay byte-diffable against the fig10-only CI grid).
-#: Doubling as a backend-equivalence pin: both backend labels of the golden
-#: surface must carry identical metric values.
-SENSITIVITY_GOLDEN_PRESET = "backend-sweep"
+#: a sensitivity table; this companion sweep runs the flash-register axis
+#: (``reg-sweep``) at the golden scale and its goldens live in the
+#: ``sensitivity/`` subdirectory (the top-level goldens stay byte-diffable
+#: against the fig10-only CI grid).
+SENSITIVITY_GOLDEN_PRESET = "reg-sweep"
 SENSITIVITY_GOLDEN_SUBDIR = "sensitivity"
 
 #: The per-cell scalar metrics ``metrics.csv`` records, in column order.
@@ -387,7 +386,7 @@ def render_bench_html(points: Sequence[Mapping[str, object]]) -> str:
             f"stroke-width='1.5'/>{dots}</svg>")
         header = ["commit", "executed_cells_per_sec", "cells_per_sec",
                   "executed_cells", "trace_build_seconds", "simulate_seconds",
-                  "elapsed_seconds", "backend", "events_processed",
+                  "elapsed_seconds", "events_processed",
                   "events_per_sec"]
         rows = [[point.get(column, "") for column in header] for point in points]
         parts.append(_html_table(header, rows))
@@ -621,7 +620,7 @@ def sensitivity_golden_spec():
     """The override-axis sweep behind the ``sensitivity/`` goldens."""
     from repro.configspace import get_preset
 
-    return get_preset(SENSITIVITY_GOLDEN_PRESET).spec()
+    return get_preset(SENSITIVITY_GOLDEN_PRESET).spec(scale=GOLDEN_SCALE)
 
 
 def sensitivity_golden_result(workers: int = 1):

@@ -18,9 +18,7 @@ class CacheLine:
     """One tag-array entry."""
 
     tag: int
-    valid: bool = True
     dirty: bool = False
-    last_use: int = 0
     # ZnG tag-array extension (Section IV-B).
     prefetched: bool = False
     accessed: bool = False
@@ -37,15 +35,6 @@ class EvictionRecord:
     dirty: bool
     prefetched: bool
     accessed: bool
-
-
-@dataclass
-class CacheAccessResult:
-    """Outcome of a cache lookup/insert."""
-
-    hit: bool
-    evicted: Optional[EvictionRecord] = None
-    bypassed: bool = False
 
 
 class SetAssociativeCache:
@@ -76,9 +65,10 @@ class SetAssociativeCache:
         # Sets are allocated on first touch: a large L2 has thousands of sets
         # and eagerly building one dict per set dominates platform
         # construction at smoke scales, while most sweeps touch a fraction
-        # of them.  Keyed by set index -> {tag: line}.
+        # of them.  Keyed by set index -> {tag: line}.  A set's dict order is
+        # its recency order: every touch re-inserts the line at the end, so
+        # the least recently used line comes first.
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
-        self._use_clock = 0
         # Statistics.
         self.hits = 0
         self.misses = 0
@@ -88,8 +78,9 @@ class SetAssociativeCache:
 
     # -- address helpers ----------------------------------------------------
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        # NOTE: lookup() inlines these two expressions (it is the hottest
-        # probe path); change the indexing scheme in both places together.
+        # NOTE: lookup() and insert() inline these two expressions (they are
+        # the hottest paths); change the indexing scheme in all three places
+        # together.
         line_number = address // self.line_bytes
         return line_number % self.num_sets, line_number // self.num_sets
 
@@ -103,23 +94,23 @@ class SetAssociativeCache:
         # L1/L2 access makes the call + tuple overhead measurable.
         line_number = address // self.line_bytes
         cache_set = self._sets.get(line_number % self.num_sets)
-        line = cache_set.get(line_number // self.num_sets) if cache_set else None
-        if line is None or not line.valid:
-            self.misses += 1
-            return False
-        self._use_clock += 1
-        line.last_use = self._use_clock
-        if mark_accessed:
-            line.accessed = True
-        self.hits += 1
-        return True
+        if cache_set:
+            tag = line_number // self.num_sets
+            line = cache_set.pop(tag, None)
+            if line is not None:
+                cache_set[tag] = line
+                if mark_accessed:
+                    line.accessed = True
+                self.hits += 1
+                return True
+        self.misses += 1
+        return False
 
     def probe(self, address: int) -> bool:
         """Check residency without perturbing LRU state or statistics."""
         set_index, tag = self._index_and_tag(address)
         cache_set = self._sets.get(set_index)
-        line = cache_set.get(tag) if cache_set else None
-        return line is not None and line.valid
+        return bool(cache_set) and tag in cache_set
 
     def insert(
         self,
@@ -127,52 +118,47 @@ class SetAssociativeCache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> CacheAccessResult:
-        """Allocate a line for ``address``; evict LRU if the set is full."""
-        set_index, tag = self._index_and_tag(address)
+    ) -> Optional[EvictionRecord]:
+        """Allocate a line for ``address``; evict LRU if the set is full.
+
+        Returns the evicted line's record, or ``None`` when nothing was
+        evicted: the line was already resident, a way was free, or every
+        way is pinned and the allocation is bypassed.
+        """
+        line_number = address // self.line_bytes
+        num_sets = self.num_sets
+        set_index = line_number % num_sets
+        tag = line_number // num_sets
         cache_set = self._sets.get(set_index)
         if cache_set is None:
             cache_set = self._sets[set_index] = {}
-        self._use_clock += 1
-        existing = cache_set.get(tag)
-        if existing is not None and existing.valid:
-            existing.last_use = self._use_clock
+        existing = cache_set.pop(tag, None)
+        if existing is not None:
+            cache_set[tag] = existing
             existing.dirty = existing.dirty or dirty
             existing.pinned = existing.pinned or pinned
             if not prefetched:
                 existing.accessed = True
-            return CacheAccessResult(hit=True)
+            return None
 
         evicted: Optional[EvictionRecord] = None
         if len(cache_set) >= self.assoc:
             evicted = self._evict_lru(set_index)
             if evicted is None:
                 # Every line in the set is pinned: bypass the allocation.
-                return CacheAccessResult(hit=False, bypassed=True)
-        cache_set[tag] = CacheLine(
-            tag=tag,
-            dirty=dirty,
-            last_use=self._use_clock,
-            prefetched=prefetched,
-            accessed=not prefetched,
-            pinned=pinned,
-        )
+                return None
+        cache_set[tag] = CacheLine(tag, dirty, prefetched, not prefetched, pinned)
         self.insertions += 1
-        return CacheAccessResult(hit=False, evicted=evicted)
+        return evicted
 
     def _evict_lru(self, set_index: int) -> Optional[EvictionRecord]:
         cache_set = self._sets[set_index]
-        victim_tag: Optional[int] = None
-        victim_use = None
         for tag, line in cache_set.items():
-            if line.pinned:
-                continue
-            if victim_use is None or line.last_use < victim_use:
-                victim_use = line.last_use
-                victim_tag = tag
-        if victim_tag is None:
+            if not line.pinned:
+                break
+        else:
             return None
-        line = cache_set.pop(victim_tag)
+        del cache_set[tag]
         self.evictions += 1
         if line.dirty:
             self.dirty_evictions += 1

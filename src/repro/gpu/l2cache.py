@@ -13,23 +13,19 @@ bank conflicts and the extra STT-MRAM write occupancy show up as queueing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.config import GPUConfig, STTMRAMConfig
-from repro.gpu.cache import CacheAccessResult, EvictionRecord, SetAssociativeCache
+from repro.gpu.cache import EvictionRecord, SetAssociativeCache
 from repro.gpu.mshr import MSHR
 from repro.sim.engine import Resource
 
 
-@dataclass
-class L2AccessOutcome:
+class L2AccessOutcome(NamedTuple):
     """Result of probing the shared L2 for one memory request."""
 
     hit: bool
     ready_cycle: float
-    bank: int
-    evicted: Optional[EvictionRecord] = None
 
 
 class SharedL2Cache:
@@ -117,24 +113,23 @@ class SharedL2Cache:
         A *read-only* L2 (STT-MRAM) never allocates lines for writes and
         invalidates any stale copy instead, matching Section III-C.
         """
-        bank = self.bank_of(address)
+        bank = (address // self.line_bytes) % self.banks  # bank_of(), inlined
         array = self._bank_arrays[bank]
-        port = self._bank_ports[bank]
         latency = self.write_latency_cycles if is_write else self.read_latency_cycles
-        start = port.acquire(now, latency)
-        ready = start + latency
+        ready = self._bank_ports[bank].acquire(now, latency) + latency
 
-        if is_write and self.read_only:
-            # Writes bypass the read-only L2; keep it coherent by invalidating.
-            array.invalidate(address)
-            self.write_bypasses += 1
-            return L2AccessOutcome(hit=False, ready_cycle=ready, bank=bank)
-
-        hit = array.lookup(address)
-        evicted: Optional[EvictionRecord] = None
-        if hit and is_write:
-            array.mark_dirty(address)
-        return L2AccessOutcome(hit=hit, ready_cycle=ready, bank=bank, evicted=evicted)
+        if is_write:
+            if self.read_only:
+                # Writes bypass the read-only L2; keep it coherent by
+                # invalidating.
+                array.invalidate(address)
+                self.write_bypasses += 1
+                return L2AccessOutcome(False, ready)
+            hit = array.lookup(address)
+            if hit:
+                array.mark_dirty(address)
+            return L2AccessOutcome(hit, ready)
+        return L2AccessOutcome(array.lookup(address), ready)
 
     def fill(
         self,
@@ -143,30 +138,21 @@ class SharedL2Cache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> L2AccessOutcome:
+    ) -> None:
         """Install one line (e.g. after a flash/DRAM fill or a prefetch).
 
         Fills are performed by the fill path of the bank and do not contend
-        with the demand-access port: they complete ``write_latency`` cycles
-        after the data arrives.  (Booking the single demand port at the fill's
-        future completion time would falsely delay earlier demand accesses.)
+        with the demand-access port.  (Booking the single demand port at the
+        fill's future completion time ``now`` would falsely delay earlier
+        demand accesses.)
         """
-        bank = self.bank_of(address)
-        array = self._bank_arrays[bank]
-        latency = self.write_latency_cycles
-        result: CacheAccessResult = array.insert(
-            address, dirty=dirty, prefetched=prefetched, pinned=pinned
+        evicted = self._bank_arrays[self.bank_of(address)].insert(
+            address, dirty, prefetched, pinned
         )
         if prefetched:
             self.prefetch_insertions += 1
-        if result.evicted is not None:
-            self.evicted_records.append(result.evicted)
-        return L2AccessOutcome(
-            hit=result.hit,
-            ready_cycle=now + latency,
-            bank=bank,
-            evicted=result.evicted,
-        )
+        if evicted is not None:
+            self.evicted_records.append(evicted)
 
     def fill_page(
         self,
@@ -175,30 +161,27 @@ class SharedL2Cache:
         now: float,
         prefetched: bool = True,
         limit_bytes: Optional[int] = None,
-    ) -> List[EvictionRecord]:
+    ) -> None:
         """Install the lines of a fetched flash page (or a prefix of it).
 
-        Inserts straight into the bank arrays (one insert per 128 B line)
-        without materialising a per-line :class:`L2AccessOutcome`; page fills
-        happen on every prefetched miss, so this loop is hot.
+        Inserts straight into the bank arrays (one insert per 128 B line);
+        page fills happen on every prefetched miss, so this loop is hot.
         """
-        evictions: List[EvictionRecord] = []
         span = min(page_bytes, limit_bytes) if limit_bytes else page_bytes
         bank_arrays = self._bank_arrays
         evicted_records = self.evicted_records
         line_bytes = self.line_bytes
         num_banks = self.banks
-        for offset in range(0, span, line_bytes):
+        offsets = range(0, span, line_bytes)
+        for offset in offsets:
             address = page_address + offset
-            result = bank_arrays[(address // line_bytes) % num_banks].insert(
-                address, prefetched=prefetched
+            evicted = bank_arrays[(address // line_bytes) % num_banks].insert(
+                address, False, prefetched
             )
-            if prefetched:
-                self.prefetch_insertions += 1
-            if result.evicted is not None:
-                evictions.append(result.evicted)
-                evicted_records.append(result.evicted)
-        return evictions
+            if evicted is not None:
+                evicted_records.append(evicted)
+        if prefetched:
+            self.prefetch_insertions += len(offsets)
 
     def probe(self, address: int) -> bool:
         return self._bank_arrays[self.bank_of(address)].probe(address)

@@ -9,8 +9,7 @@ entries; the MMU mechanics (TLB miss -> walk cache -> page walk) are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.config import GPUConfig
 from repro.gpu.cache import SetAssociativeCache
@@ -18,8 +17,7 @@ from repro.gpu.tlb import TLB
 from repro.sim.engine import Resource
 
 
-@dataclass
-class TranslationResult:
+class TranslationResult(NamedTuple):
     """Outcome of translating one virtual address."""
 
     physical_address: int
@@ -83,6 +81,7 @@ class MMU:
         # The page-table walker has a fixed number of concurrent walk threads.
         self.walker = Resource("page_table_walker", ports=config.page_walk_threads)
         self._fault_handler = fault_handler
+        self._page_size = config.page_size_bytes
         # Statistics.
         self.translations = 0
         self.page_walks = 0
@@ -98,24 +97,17 @@ class MMU:
         """
         self._fault_handler = handler
 
-    def _physical_address(self, frame: int, virtual_address: int) -> int:
-        offset = virtual_address % self.config.page_size_bytes
-        return frame * self.config.page_size_bytes + offset
-
     def translate(self, virtual_address: int, now: float) -> TranslationResult:
         """Translate a virtual address, charging TLB/walk/fault latency."""
         self.translations += 1
-        vpn = virtual_address // self.config.page_size_bytes
-
+        page_size = self._page_size
         cached_frame = self.tlb.lookup(virtual_address)
         if cached_frame is not None:
             return TranslationResult(
-                physical_address=self._physical_address(cached_frame, virtual_address),
-                latency_cycles=1.0,
-                tlb_hit=True,
-            )
+                cached_frame * page_size + virtual_address % page_size, 1.0, True)
 
         # TLB miss: a walk thread is allocated (Section II-A).
+        vpn = virtual_address // page_size
         walk_cache_hit = self.walk_cache.lookup(vpn * 8)
         walk_latency = (
             self.config.page_walk_cache_latency_cycles
@@ -143,7 +135,7 @@ class MMU:
 
         self.tlb.insert(virtual_address, frame)
         return TranslationResult(
-            physical_address=self._physical_address(frame, virtual_address),
+            physical_address=frame * page_size + virtual_address % page_size,
             latency_cycles=completion - now,
             tlb_hit=False,
             walk_cache_hit=walk_cache_hit,

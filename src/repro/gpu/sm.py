@@ -24,15 +24,12 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import AccessType, MemoryRequest, RequestResult
-from repro.sim.engine import CalendarQueue, Resource
+from repro.sim.request import MemoryRequest
+from repro.sim.engine import Resource
 from repro.telemetry import core as _telemetry
 
-#: Signature of the platform memory hook: (request, now) -> RequestResult.
-MemoryAccessFn = Callable[[MemoryRequest, float], RequestResult]
-
-#: Batch variant: a list of same-cycle requests -> one result per request.
-MemoryAccessBatchFn = Callable[[List[MemoryRequest], float], List[RequestResult]]
+#: Signature of the platform memory hook: (request, now) -> completion cycle.
+MemoryAccessFn = Callable[[MemoryRequest, float], float]
 
 
 @dataclass
@@ -66,6 +63,7 @@ class StreamingMultiprocessor:
         )
         self.mshr = MSHR(f"sm{sm_id}_mshr", config.l1_mshr_entries)
         self.stats = SMStatistics()
+        self._l1_latency = float(config.l1_latency_cycles)
 
     # ------------------------------------------------------------------
     def execute_instruction(
@@ -76,162 +74,68 @@ class StreamingMultiprocessor:
         memory_fn: MemoryAccessFn,
     ) -> float:
         """Execute one trace record for a warp; return the warp's next ready cycle."""
+        stats = self.stats
         ready = now
         # Arithmetic portion: occupies the issue port for one cycle per op.
-        if instruction.compute_ops:
-            start = self.issue_port.acquire(ready, float(instruction.compute_ops))
-            ready = start + instruction.compute_ops
-            self.stats.instructions += instruction.compute_ops
+        compute_ops = instruction.compute_ops
+        if compute_ops:
+            start = self.issue_port.acquire(ready, float(compute_ops))
+            ready = start + compute_ops
+            stats.instructions += compute_ops
 
-        if not instruction.is_memory:
+        if not instruction.addresses:
             return ready
 
         # Memory instruction: one issue slot, then coalescing and the cache path.
         start = self.issue_port.acquire(ready, 1.0)
         ready = start + 1.0
-        self.stats.instructions += 1
-        self.stats.memory_instructions += 1
-
-        requests = self.coalescer.coalesce(
-            instruction.addresses,
-            instruction.access,
-            warp_id=warp_id,
-            sm_id=self.sm_id,
-            pc=instruction.pc,
-            issue_cycle=ready,
-            segments=instruction.segments,
-        )
-        completion = ready
-        for request in requests:
-            finish = self._access_memory(request, ready, memory_fn)
-            completion = max(completion, finish)
-        return completion
-
-    def _access_memory(
-        self, request: MemoryRequest, now: float, memory_fn: MemoryAccessFn
-    ) -> float:
-        """L1 probe, MSHR merge and (on miss) platform memory access."""
-        self.stats.memory_requests += 1
-        line_address = self.l1.line_address(request.address)
-        l1_latency = float(self.config.l1_latency_cycles)
-
-        if request.is_read and self.l1.lookup(request.address):
-            self.stats.l1_hits += 1
-            return now + l1_latency
-
-        if request.is_write:
-            # Write-through, no-allocate L1 (typical for GPU L1D): the write
-            # always goes below; a stale copy is invalidated.
-            self.l1.invalidate(request.address)
-        else:
-            self.stats.l1_misses += 1
-
-        inflight = self.mshr.lookup(line_address, now)
-        if inflight is not None and request.is_read:
-            # Secondary miss: piggyback on the outstanding fill.
-            self.mshr.allocate(line_address, now, inflight.fill_cycle)
-            return max(inflight.fill_cycle, now + l1_latency)
-
-        result = memory_fn(request, now + l1_latency)
-        fill_cycle = result.completion_cycle
-        if request.is_read:
-            self.mshr.allocate(line_address, now, fill_cycle)
-            self.l1.insert(request.address)
-        return fill_cycle
-
-    def execute_instruction_batch(
-        self,
-        instruction: Instruction,
-        warp_id: int,
-        now: float,
-        memory_batch_fn: MemoryAccessBatchFn,
-    ) -> float:
-        """Batch form of :meth:`execute_instruction` (vectorized backend).
-
-        All coalesced requests of one warp instruction issue at the same
-        cycle, so the platform accesses can be submitted as one batch.  The
-        L1/MSHR probe sequence runs per request in coalescer order — the only
-        order the bit-identity contract allows, since an insert can evict a
-        line a later request would otherwise hit — and the platform batch
-        call is element-identical to the scalar fold because coalesced
-        requests never share an L1 line (``insert``/``allocate`` of one
-        request therefore cannot change another's probe; when an ablated
-        ``gpu.memory_request_bytes`` *does* put two requests on one line, the
-        earlier insert is already visible to the later probe here exactly as
-        it is in the scalar interleaving).
-        """
-        ready = now
-        if instruction.compute_ops:
-            start = self.issue_port.acquire(ready, float(instruction.compute_ops))
-            ready = start + instruction.compute_ops
-            self.stats.instructions += instruction.compute_ops
-
-        if not instruction.is_memory:
-            return ready
-
-        start = self.issue_port.acquire(ready, 1.0)
-        ready = start + 1.0
-        stats = self.stats
         stats.instructions += 1
         stats.memory_instructions += 1
 
         requests = self.coalescer.coalesce(
             instruction.addresses,
             instruction.access,
-            warp_id=warp_id,
-            sm_id=self.sm_id,
-            pc=instruction.pc,
-            issue_cycle=ready,
-            segments=instruction.segments,
+            warp_id,
+            self.sm_id,
+            instruction.pc,
+            ready,
+            instruction.segments,
         )
+        # Writes never probe the MSHR.  Its probes retire finished entries
+        # lazily, and the issue port hands out non-decreasing start cycles,
+        # so each probe sees a ``ready`` no earlier than the last one:
+        # retiring at the next read's probe leaves the same entries.
         l1 = self.l1
         mshr = self.mshr
-        l1_latency = float(self.config.l1_latency_cycles)
-        fill_time = ready + l1_latency
+        l1_ready = ready + self._l1_latency
         completion = ready
-        to_memory: List[MemoryRequest] = []
-        memory_lines: List[int] = []
+        stats.memory_requests += len(requests)
         for request in requests:
-            stats.memory_requests += 1
-            is_read = request.is_read
-            if is_read and l1.lookup(request.address):
+            address = request.address
+            if request.is_write:
+                # Write-through, no-allocate L1 (typical for GPU L1D): the
+                # write always goes below; a stale copy is invalidated.
+                l1.invalidate(address)
+                finish = memory_fn(request, l1_ready)
+            elif l1.lookup(address):
                 stats.l1_hits += 1
-                if fill_time > completion:
-                    completion = fill_time
-                continue
-            line_address = l1.line_address(request.address)
-            if is_read:
+                finish = l1_ready
+            else:
                 stats.l1_misses += 1
-            else:
-                l1.invalidate(request.address)
-            inflight = mshr.lookup(line_address, ready)
-            if inflight is not None and is_read:
-                mshr.allocate(line_address, ready, inflight.fill_cycle)
-                finish = inflight.fill_cycle
-                if finish < fill_time:
-                    finish = fill_time
-                if finish > completion:
-                    completion = finish
-                continue
-            if is_read:
-                # The scalar path inserts after the platform access returns;
-                # inserting here is equivalent (the insert does not depend on
-                # the access result) and keeps the L1 state seen by the next
-                # request's probe identical to the scalar interleaving.
-                l1.insert(request.address)
-                memory_lines.append(line_address)
-            else:
-                memory_lines.append(-1)
-            to_memory.append(request)
-
-        if to_memory:
-            results = memory_batch_fn(to_memory, fill_time)
-            for line_address, result in zip(memory_lines, results):
-                fill_cycle = result.completion_cycle
-                if line_address >= 0:
-                    mshr.allocate(line_address, ready, fill_cycle)
-                if fill_cycle > completion:
-                    completion = fill_cycle
+                line_address = l1.line_address(address)
+                inflight = mshr.lookup(line_address, ready)
+                if inflight is not None:
+                    # Secondary miss: piggyback on the outstanding fill.
+                    mshr.allocate(line_address, ready, inflight.fill_cycle)
+                    finish = inflight.fill_cycle
+                    if finish < l1_ready:
+                        finish = l1_ready
+                else:
+                    finish = memory_fn(request, l1_ready)
+                    mshr.allocate(line_address, ready, finish)
+                    l1.insert(address)
+            if finish > completion:
+                completion = finish
         return completion
 
     def reset(self) -> None:
@@ -251,10 +155,9 @@ class GPUExecutionResult:
     memory_requests: int
     ipc: float
     per_sm: Dict[int, SMStatistics] = field(default_factory=dict)
-    #: Scheduler events processed (warp wake-ups, including completions).
-    #: Identical across backends — the calendar queue replays the heap's
-    #: exact pop order — and surfaced in the perf report as
-    #: ``events_processed`` / ``events_per_sec``.
+    #: Scheduler events processed (warp wake-ups, including completions),
+    #: surfaced in the perf report as ``events_processed`` /
+    #: ``events_per_sec``.
     events: int = 0
 
     def normalized_to(self, baseline: "GPUExecutionResult") -> float:
@@ -267,65 +170,47 @@ class GPUExecutionResult:
 class GPUCore:
     """The full GPU: a set of SMs sharing one memory subsystem hook.
 
-    ``backend`` selects the execution core (``sim.backend`` config axis):
-    ``"scalar"`` schedules warp events on a global binary heap and services
-    memory requests one at a time; ``"vectorized"`` schedules on a
-    :class:`~repro.sim.engine.CalendarQueue` and submits each warp
-    instruction's coalesced requests as one platform batch.  Both produce
-    bit-identical results by contract.
+    Warp events are scheduled on one global binary heap and each coalesced
+    request is serviced through the memory hook as it issues.
     """
 
-    def __init__(self, config: GPUConfig, backend: str = "scalar") -> None:
+    def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.backend = backend
         self.sms = [StreamingMultiprocessor(i, config) for i in range(config.num_sms)]
         #: Deepest the event queue got during the last :meth:`run` (telemetry
         #: only — sampled when tracing is enabled, 0 otherwise; never enters
         #: the result record).
         self.last_max_queue_depth = 0
 
-    def sm(self, index: int) -> StreamingMultiprocessor:
-        return self.sms[index % len(self.sms)]
-
     def run(
         self,
         traces: Sequence[WarpTrace],
         memory_fn: MemoryAccessFn,
         max_resident_warps: Optional[int] = None,
-        memory_batch_fn: Optional[MemoryAccessBatchFn] = None,
     ) -> GPUExecutionResult:
         """Execute the warp traces to completion and report timing."""
         if not traces:
             return GPUExecutionResult(cycles=0.0, instructions=0, memory_requests=0, ipc=0.0)
         resident_limit = max_resident_warps or self.config.max_warps_per_sm
-        vectorized = self.backend == "vectorized" and memory_batch_fn is not None
+        sms = self.sms
+        sm_count = len(sms)
+        push = heapq.heappush
+        pop = heapq.heappop
 
         # Warp events are (ready_cycle, sequence, trace, position) tuples.
         # Warps beyond the residency limit of an SM start only when an earlier
         # warp on that SM finishes, which approximates thread-block
-        # scheduling.  The calendar queue pops in the heap's exact order, so
-        # the two backends replay the same event sequence.
-        if vectorized:
-            calendar = CalendarQueue()
-            push, pop, size = calendar.push, calendar.pop, calendar.__len__
-        else:
-            heap: List = []
-            push = lambda event: heapq.heappush(heap, event)  # noqa: E731
-            pop = lambda: heapq.heappop(heap)  # noqa: E731
-            size = heap.__len__
+        # scheduling.
+        heap: List = []
         sequence = 0
         pending: Dict[int, List[WarpTrace]] = {}
-        resident_count: Dict[int, int] = {}
         for trace in traces:
-            sm_index = trace.sm_id % len(self.sms)
-            pending.setdefault(sm_index, []).append(trace)
-        for sm_index, sm_traces in pending.items():
-            resident_count[sm_index] = 0
+            pending.setdefault(trace.sm_id % sm_count, []).append(trace)
+        for sm_traces in pending.values():
             for trace in sm_traces[:resident_limit]:
-                push((0.0, sequence, trace, 0))
+                push(heap, (0.0, sequence, trace, 0))
                 sequence += 1
-                resident_count[sm_index] += 1
-            del sm_traces[: resident_count[sm_index]]
+            del sm_traces[:resident_limit]
 
         final_cycle = 0.0
         events = 0
@@ -334,47 +219,40 @@ class GPUCore:
         # per event and the numbers themselves are identical either way.
         trace_depth = _telemetry.enabled()
         max_depth = 0
-        while size():
-            if trace_depth:
-                depth = size()
-                if depth > max_depth:
-                    max_depth = depth
-            ready, _, trace, position = pop()
+        while heap:
+            if trace_depth and len(heap) > max_depth:
+                max_depth = len(heap)
+            ready, _, trace, position = pop(heap)
             events += 1
-            sm = self.sm(trace.sm_id)
-            if position >= len(trace.instructions):
+            instructions = trace.instructions
+            sm = sms[trace.sm_id % sm_count]
+            if position >= len(instructions):
                 # Warp finished: admit the next pending warp on this SM.
-                sm_index = trace.sm_id % len(self.sms)
-                waiting = pending.get(sm_index)
+                waiting = pending.get(trace.sm_id % sm_count)
                 if waiting:
-                    next_trace = waiting.pop(0)
-                    push((ready, sequence, next_trace, 0))
+                    push(heap, (ready, sequence, waiting.pop(0), 0))
                     sequence += 1
-                final_cycle = max(final_cycle, ready)
-                sm.stats.completion_cycle = max(sm.stats.completion_cycle, ready)
+                if ready > final_cycle:
+                    final_cycle = ready
+                if ready > sm.stats.completion_cycle:
+                    sm.stats.completion_cycle = ready
                 continue
-            instruction = trace.instructions[position]
-            if vectorized:
-                next_ready = sm.execute_instruction_batch(
-                    instruction, trace.warp_id, ready, memory_batch_fn
-                )
-            else:
-                next_ready = sm.execute_instruction(
-                    instruction, trace.warp_id, ready, memory_fn
-                )
-            push((next_ready, sequence, trace, position + 1))
+            next_ready = sm.execute_instruction(
+                instructions[position], trace.warp_id, ready, memory_fn
+            )
+            push(heap, (next_ready, sequence, trace, position + 1))
             sequence += 1
 
         self.last_max_queue_depth = max_depth
-        total_instructions = sum(sm.stats.instructions for sm in self.sms)
-        total_requests = sum(sm.stats.memory_requests for sm in self.sms)
+        total_instructions = sum(sm.stats.instructions for sm in sms)
+        total_requests = sum(sm.stats.memory_requests for sm in sms)
         cycles = max(final_cycle, 1.0)
         return GPUExecutionResult(
             cycles=cycles,
             instructions=total_instructions,
             memory_requests=total_requests,
             ipc=total_instructions / cycles,
-            per_sm={sm.sm_id: sm.stats for sm in self.sms},
+            per_sm={sm.sm_id: sm.stats for sm in sms},
             events=events,
         )
 

@@ -28,13 +28,15 @@ class TLB:
 
     def lookup(self, virtual_address: int) -> Optional[int]:
         """Return the cached translation payload for the page, or ``None``."""
-        vpn = self.virtual_page(virtual_address)
-        if vpn in self._entries:
-            self._entries.move_to_end(vpn)
-            self.hits += 1
-            return self._entries[vpn]
-        self.misses += 1
-        return None
+        vpn = virtual_address // self.page_size_bytes
+        entries = self._entries
+        payload = entries.get(vpn)
+        if payload is None:
+            self.misses += 1
+            return None
+        entries.move_to_end(vpn)
+        self.hits += 1
+        return payload
 
     def insert(self, virtual_address: int, payload: int) -> None:
         vpn = self.virtual_page(virtual_address)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.gpu.interconnect import Interconnect
@@ -19,7 +19,7 @@ from repro.gpu.l2cache import SharedL2Cache
 from repro.gpu.mmu import MMU
 from repro.gpu.sm import GPUCore, GPUExecutionResult, SMStatistics
 from repro.gpu.warp import WarpTrace
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.sim.stats import StatsCollector
 from repro.telemetry import core as _telemetry
 from repro.workloads.trace import WorkloadTrace
@@ -221,10 +221,12 @@ class GPUSSDPlatform(ABC):
         resolved = resolve_platform_config(self.name, config)
         self.config = resolved.config
         self.config_resolution = resolved
-        self.gpu = GPUCore(self.config.gpu, backend=self.config.sim.backend)
+        self.gpu = GPUCore(self.config.gpu)
         self.mmu = MMU(self.config.gpu)
         self.l2 = self._build_l2()
         self.noc = Interconnect(self.config.gpu, num_destinations=self.l2.banks)
+        #: Optional L2 read prefetcher, trained on every read (hit or miss).
+        self.prefetcher = None
         self.stats = StatsCollector()
         self.page_size = self.config.gpu.page_size_bytes
         self._memory_bytes_served = 0
@@ -247,23 +249,17 @@ class GPUSSDPlatform(ABC):
         return SharedL2Cache.from_gpu_config(self.config.gpu)
 
     @abstractmethod
-    def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
         """Serve a read that missed the shared L2; return its completion cycle.
 
-        Implementations must add per-component latencies to ``result`` and are
-        responsible for filling the L2 if their fill policy says so.
+        Implementations must charge per-component latencies through
+        ``self.stats.add_latency`` and are responsible for filling the L2 if
+        their fill policy says so.
         """
 
-    def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_write(self, request: MemoryRequest, now: float) -> float:
         """Serve a write below the L2.  Default: same path as a read miss."""
-        return self._service_l2_miss(request, now, result)
-
-    def _observe_read(self, request: MemoryRequest, hit: bool) -> None:
-        """Hook called for every L2 read access (hit or miss).  Default no-op."""
+        return self._service_l2_miss(request, now)
 
     def prepare(self, workload: WorkloadTrace) -> None:
         """Load the data set / set up mappings before execution (optional)."""
@@ -276,142 +272,64 @@ class GPUSSDPlatform(ABC):
     # ------------------------------------------------------------------
     # The shared request path
     # ------------------------------------------------------------------
-    def memory_access(self, request: MemoryRequest, now: float) -> RequestResult:
-        """The callback handed to the GPU core for every coalesced request."""
-        result = RequestResult(request=request, start_cycle=now, completion_cycle=now)
+    def memory_access(self, request: MemoryRequest, now: float) -> float:
+        """The callback handed to the GPU core for every coalesced request.
+
+        Returns the request's completion cycle.  Each component's latency is
+        charged straight to the stats breakdown; a component that cost no
+        time adds no key.
+        """
+        address = request.address
         is_write = request.is_write
         self._ctr_requests.value += 1
         if is_write:
             self._ctr_writes.value += 1
         else:
             self._ctr_reads.value += 1
+        breakdown = self.stats.breakdown
 
         # 1. Virtual-address translation through the shared TLB/MMU.
-        translation = self.mmu.translate(request.address, now)
-        component = "tlb" if translation.tlb_hit else "mmu"
-        result.add_latency(component, translation.latency_cycles)
-        time = now + translation.latency_cycles
-        request.translated(translation.physical_address)
+        translation = self.mmu.translate(address, now)
+        latency = translation.latency_cycles
+        if latency > 0:
+            breakdown["tlb" if translation.tlb_hit else "mmu"] += latency
+        time = now + latency
+        request.physical_address = translation.physical_address
 
         # 2. Interconnect hop from the SM to the target L2 bank.
-        bank = self.l2.bank_of(request.address)
-        arrival = self.noc.send(bank, request.size, time)
-        result.add_latency("l1_l2_net", arrival - time)
+        l2 = self.l2
+        arrival = self.noc.send(l2.bank_of(address), request.size, time)
+        latency = arrival - time
+        if latency > 0:
+            breakdown["l1_l2_net"] += latency
         time = arrival
 
         # 3. Shared L2 access.
-        outcome = self.l2.access(request.address, is_write, time)
-        result.add_latency("l2_cache", outcome.ready_cycle - time)
-        time = outcome.ready_cycle
+        hit, ready = l2.access(address, is_write, time)
+        latency = ready - time
+        if latency > 0:
+            breakdown["l2_cache"] += latency
+        time = ready
 
         if is_write:
-            completion = self._service_write(request, time, result)
+            completion = self._service_write(request, time)
             self._ctr_writes_below_l2.value += 1
         else:
-            # Let the platform observe the full read stream (e.g. to train a
-            # prefetch predictor) regardless of L2 hit/miss.
-            self._observe_read(request, outcome.hit)
-            if outcome.hit:
+            # The prefetcher observes the full read stream, hit or miss.
+            if self.prefetcher is not None:
+                self.prefetcher.train(request)
+            if hit:
                 self._ctr_l2_hits.value += 1
-                result.hit_level = "l2"
                 completion = time
             else:
                 self._ctr_l2_misses.value += 1
-                completion = self._service_l2_miss(request, time, result)
+                completion = self._service_l2_miss(request, time)
 
         if completion < time:
             completion = time
-        result.completion_cycle = completion
         self._hist_latency.add(completion - now)
-        self.stats.add_breakdown(result.breakdown)
         self._memory_bytes_served += request.size
-        return result
-
-    def memory_access_batch(
-        self, requests: Sequence[MemoryRequest], now: float
-    ) -> Sequence[RequestResult]:
-        """Service a batch of same-cycle coalesced requests (vectorized backend).
-
-        Element-identical to a fold of :meth:`memory_access` calls in request
-        order.  Translation runs per request (TLB/walk-cache state is
-        sequential) and the interconnect hop is submitted as one per-bank
-        batch — both are safe to hoist ahead of the memory side because the
-        MMU walker and the GPU NoC are booked nowhere else.  Everything from
-        the L2 down stays request-major: an earlier request's fill, eviction
-        or prefetch can change a later request's L2 outcome, so that
-        interleaving is part of the contract.  Platforms whose page-fault
-        handler books memory-side resources during translation (Hetero) fall
-        back to the literal fold.
-        """
-        if self.mmu._fault_handler is not None:
-            # A fault inside translate() books memory-side resources; hoisting
-            # the translation stage would reorder them against earlier misses.
-            return [self.memory_access(request, now) for request in requests]
-
-        ctr_requests = self._ctr_requests
-        ctr_reads = self._ctr_reads
-        ctr_writes = self._ctr_writes
-        ctr_l2_hits = self._ctr_l2_hits
-        ctr_l2_misses = self._ctr_l2_misses
-        ctr_writes_below = self._ctr_writes_below_l2
-        hist_latency = self._hist_latency
-        stats = self.stats
-        mmu_translate = self.mmu.translate
-        l2 = self.l2
-        l2_access = l2.access
-        bank_of = l2.bank_of
-
-        # Stage 1: virtual-address translation, per request in order.
-        results: List[RequestResult] = []
-        times: List[float] = []
-        banks: List[int] = []
-        sizes: List[int] = []
-        for request in requests:
-            ctr_requests.value += 1
-            if request.is_write:
-                ctr_writes.value += 1
-            else:
-                ctr_reads.value += 1
-            result = RequestResult(request=request, start_cycle=now, completion_cycle=now)
-            translation = mmu_translate(request.address, now)
-            component = "tlb" if translation.tlb_hit else "mmu"
-            result.add_latency(component, translation.latency_cycles)
-            request.translated(translation.physical_address)
-            results.append(result)
-            times.append(now + translation.latency_cycles)
-            banks.append(bank_of(request.address))
-            sizes.append(request.size)
-
-        # Stage 2: one interconnect batch (per-bank grouping, order kept).
-        arrivals = self.noc.send_batch(banks, sizes, times)
-
-        # Stage 3: shared L2 and the platform memory side, request-major.
-        for request, result, time, arrival in zip(requests, results, times, arrivals):
-            result.add_latency("l1_l2_net", arrival - time)
-            time = arrival
-            is_write = request.is_write
-            outcome = l2_access(request.address, is_write, time)
-            result.add_latency("l2_cache", outcome.ready_cycle - time)
-            time = outcome.ready_cycle
-            if is_write:
-                completion = self._service_write(request, time, result)
-                ctr_writes_below.value += 1
-            else:
-                self._observe_read(request, outcome.hit)
-                if outcome.hit:
-                    ctr_l2_hits.value += 1
-                    result.hit_level = "l2"
-                    completion = time
-                else:
-                    ctr_l2_misses.value += 1
-                    completion = self._service_l2_miss(request, time, result)
-            if completion < time:
-                completion = time
-            result.completion_cycle = completion
-            hist_latency.add(completion - now)
-            stats.add_breakdown(result.breakdown)
-            self._memory_bytes_served += request.size
-        return results
+        return completion
 
     # ------------------------------------------------------------------
     # Execution driver
@@ -419,23 +337,13 @@ class GPUSSDPlatform(ABC):
     def run(self, workload: WorkloadTrace) -> PlatformResult:
         """Run a workload trace to completion and collect the result record."""
         self.prepare(workload)
-        execution = self.gpu.run(
-            workload.warps, self.memory_access, memory_batch_fn=self._memory_batch_fn()
-        )
+        execution = self.gpu.run(workload.warps, self.memory_access)
         return self._build_result(workload, execution)
 
     def run_warps(self, warps: Sequence[WarpTrace], label: str = "custom") -> PlatformResult:
         """Run raw warp traces (used by micro-benchmarks)."""
-        execution = self.gpu.run(
-            warps, self.memory_access, memory_batch_fn=self._memory_batch_fn()
-        )
+        execution = self.gpu.run(warps, self.memory_access)
         return self._build_result_common(label, execution)
-
-    def _memory_batch_fn(self):
-        """The batch memory hook, when the vectorized backend is selected."""
-        if self.gpu.backend == "vectorized":
-            return self.memory_access_batch
-        return None
 
     def _build_result(self, workload: WorkloadTrace, execution: GPUExecutionResult) -> PlatformResult:
         return self._build_result_common(workload.name, execution)

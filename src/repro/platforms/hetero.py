@@ -22,7 +22,7 @@ from repro.config import (
 from repro.gpu.dram import DRAMSubsystem, build_gddr5_subsystem
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.sim.engine import BandwidthResource, Resource
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -80,24 +80,19 @@ class HeteroPlatform(GPUSSDPlatform):
         return virtual_page, time
 
     # ------------------------------------------------------------------
-    def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
         # The fault (if any) already happened during translation; what is left
         # is a plain GDDR5 access.
         address = request.physical_address or request.address
         completion = self.dram.access(address, request.size, now)
-        result.add_latency("dram", completion - now)
-        result.serviced_by = "gddr5_after_fault"
+        self.stats.add_latency("dram", completion - now)
         self.l2.fill(request.address, completion)
         return completion
 
-    def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_write(self, request: MemoryRequest, now: float) -> float:
         address = request.physical_address or request.address
         completion = self.dram.access(address, request.size, now)
-        result.add_latency("dram", completion - now)
+        self.stats.add_latency("dram", completion - now)
         self.l2.fill(request.address, completion, dirty=True)
         return completion
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.config import GPU_FREQ_HZ, PlatformConfig
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.ssd_engine import SSDEngine
@@ -48,28 +48,21 @@ class HybridGPUPlatform(GPUSSDPlatform):
         self.engine.reset_statistics()
 
     # ------------------------------------------------------------------
-    def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
         service = self.engine.service(
             request.address, request.size, is_write=False, now=now
         )
         for component, cycles in service.breakdown.items():
-            result.add_latency(component, cycles)
-        result.serviced_by = "ssd_engine"
-        result.bytes_moved_from_flash = service.flash_bytes_read
+            self.stats.add_latency(component, cycles)
         self.l2.fill(request.address, service.completion_cycle)
         return service.completion_cycle
 
-    def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_write(self, request: MemoryRequest, now: float) -> float:
         service = self.engine.service(
             request.address, request.size, is_write=True, now=now
         )
         for component, cycles in service.breakdown.items():
-            result.add_latency(component, cycles)
-        result.serviced_by = "ssd_engine"
+            self.stats.add_latency(component, cycles)
         self.l2.fill(request.address, service.completion_cycle, dirty=True)
         return service.completion_cycle
 

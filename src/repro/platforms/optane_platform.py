@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.config import PlatformConfig
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.ssd.optane import OptaneMemory
 from repro.workloads.trace import WorkloadTrace
 
@@ -29,23 +29,17 @@ class OptanePlatform(GPUSSDPlatform):
     def prepare(self, workload: WorkloadTrace) -> None:
         self.mmu.preload({vpn: vpn for vpn in self.resident_pages(workload)})
 
-    def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
         address = request.physical_address or request.address
         completion = self.optane.access(address, request.size, is_write=False, now=now)
-        result.add_latency("optane", completion - now)
-        result.serviced_by = "optane"
+        self.stats.add_latency("optane", completion - now)
         self.l2.fill(request.address, completion)
         return completion
 
-    def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_write(self, request: MemoryRequest, now: float) -> float:
         address = request.physical_address or request.address
         completion = self.optane.access(address, request.size, is_write=True, now=now)
-        result.add_latency("optane", completion - now)
-        result.serviced_by = "optane"
+        self.stats.add_latency("optane", completion - now)
         self.l2.fill(request.address, completion, dirty=True)
         return completion
 

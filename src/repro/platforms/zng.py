@@ -25,7 +25,7 @@ from repro.core.register_network import build_register_network
 from repro.core.zero_overhead_ftl import ZeroOverheadFTL
 from repro.gpu.l2cache import SharedL2Cache
 from repro.platforms.base import GPUSSDPlatform, PlatformResult
-from repro.sim.request import MemoryRequest, RequestResult
+from repro.sim.request import MemoryRequest
 from repro.ssd.endurance import EnduranceModel
 from repro.ssd.flash_controller import FlashControllerArray
 from repro.ssd.flash_network import FlashNetwork
@@ -76,7 +76,8 @@ class ZnGPlatform(GPUSSDPlatform):
         self.ftl.helper_gc = self.helper_gc
         self.endurance = EnduranceModel(self.array, znand)
 
-        self.prefetcher = None
+        # The read optimisation's prefetcher is trained by the base request
+        # path on the full read stream (Section IV-B).
         if variant.has_read_optimization:
             from repro.core.prefetch_policies import build_prefetcher
 
@@ -131,14 +132,7 @@ class ZnGPlatform(GPUSSDPlatform):
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _observe_read(self, request: MemoryRequest, hit: bool) -> None:
-        """Train the read predictor on the full read stream (Section IV-B)."""
-        if self.prefetcher is not None:
-            self.prefetcher.train(request)
-
-    def _service_l2_miss(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
         virtual_page = request.address // self.page_size
         translation = self.ftl.translate_read(virtual_page)
         time = now
@@ -151,8 +145,7 @@ class ZnGPlatform(GPUSSDPlatform):
             if self.register_cache.holds(group, virtual_page):
                 channel = self.array.geometry.channel_of_ppn(translation.ppn)
                 completion = self.flash_network.transfer(channel, request.size, time)
-                result.add_latency("flash_register", completion - time)
-                result.serviced_by = "flash_register"
+                self.stats.add_latency("flash_register", completion - time)
                 self.stats.add("register_read_hits")
                 return completion
 
@@ -163,12 +156,12 @@ class ZnGPlatform(GPUSSDPlatform):
             plane, time, self._program_log_page
         )
         if drained > time:
-            result.add_latency("register_flush", drained - time)
+            self.stats.add_latency("register_flush", drained - time)
             self.stats.add("forced_register_flushes")
             time = drained
 
         # Decide how much of the flash page to pull into the L2.  (Training
-        # happens on every read via _observe_read, not only on misses.)
+        # happens on every read in the base request path, not only on misses.)
         fetch_bytes = request.size
         prefetched = False
         if self.prefetcher is not None:
@@ -177,14 +170,13 @@ class ZnGPlatform(GPUSSDPlatform):
             prefetched = decision.prefetch
 
         operation = self.controllers.read(translation.ppn, time, transfer_bytes=fetch_bytes)
-        result.add_latency("flash_array", operation.array_cycles)
-        result.add_latency("flash_network", operation.transfer_cycles)
-        result.add_latency(
+        stats = self.stats
+        stats.add_latency("flash_array", operation.array_cycles)
+        stats.add_latency("flash_network", operation.transfer_cycles)
+        stats.add_latency(
             "flash_controller",
             max(0.0, (operation.completion_cycle - time) - operation.array_cycles - operation.transfer_cycles),
         )
-        result.serviced_by = "znand"
-        result.bytes_moved_from_flash = fetch_bytes
         completion = operation.completion_cycle
         self.stats.add("flash_page_reads")
 
@@ -227,9 +219,7 @@ class ZnGPlatform(GPUSSDPlatform):
         self.stats.add("l2_spills")
         return now + self.l2.write_latency_cycles * len(addresses)
 
-    def _service_write(
-        self, request: MemoryRequest, now: float, result: RequestResult
-    ) -> float:
+    def _service_write(self, request: MemoryRequest, now: float) -> float:
         virtual_page = request.address // self.page_size
         self.endurance.record_host_writes(1)
 
@@ -247,8 +237,7 @@ class ZnGPlatform(GPUSSDPlatform):
             program_fn=self._program_log_page,
             l2_spill_fn=spill_fn,
         )
-        result.add_latency("flash_register", outcome.ready_cycle - now)
-        result.serviced_by = "flash_register"
+        self.stats.add_latency("flash_register", outcome.ready_cycle - now)
         if outcome.register_hit:
             self.stats.add("register_write_hits")
         else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from typing import Optional
 
 
 class AccessType(Enum):
@@ -22,7 +22,7 @@ class AccessType(Enum):
         return self is AccessType.READ
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRequest:
     """A coalesced memory request as seen below the L1 cache.
 
@@ -52,7 +52,8 @@ class MemoryRequest:
     pc: int = 0
     issue_cycle: float = 0.0
     physical_address: Optional[int] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
+    is_write: bool = field(init=False, repr=False, compare=False)
+    is_read: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Precomputed direction flags: the request path consults these many
@@ -68,35 +69,3 @@ class MemoryRequest:
     def line_address(self, line_size: int = 128) -> int:
         """Cache-line-aligned address of the request."""
         return (self.address // line_size) * line_size
-
-    def translated(self, physical_address: int) -> "MemoryRequest":
-        """Record the device-physical address produced by translation."""
-        self.physical_address = physical_address
-        return self
-
-
-@dataclass
-class RequestResult:
-    """Completion record returned by a platform for one memory request.
-
-    ``breakdown`` maps component names (``"l1"``, ``"tlb"``, ``"l2"``,
-    ``"flash_array"``, ``"ssd_engine"`` ...) to the latency in cycles charged
-    by that component, which is what the latency-breakdown figures consume.
-    """
-
-    request: MemoryRequest
-    start_cycle: float
-    completion_cycle: float
-    serviced_by: str = "memory"
-    hit_level: str = "memory"
-    breakdown: Dict[str, float] = field(default_factory=dict)
-    bytes_moved_from_flash: int = 0
-
-    @property
-    def latency(self) -> float:
-        return self.completion_cycle - self.start_cycle
-
-    def add_latency(self, component: str, cycles: float) -> None:
-        if cycles <= 0:
-            return
-        self.breakdown[component] = self.breakdown.get(component, 0.0) + cycles

@@ -318,6 +318,16 @@ class StatsCollector:
         self.histogram(name).add(value)
 
     # -- latency breakdown --------------------------------------------------
+    def add_latency(self, component: str, cycles: float) -> None:
+        """Charge ``cycles`` to one component of the latency breakdown.
+
+        Non-positive charges are skipped, so a component enters the
+        breakdown only once it has cost time.
+        """
+        if cycles <= 0:
+            return
+        self.breakdown[component] += cycles
+
     def add_breakdown(self, components: Mapping[str, float]) -> None:
         breakdown = self.breakdown
         for component, cycles in components.items():

@@ -51,9 +51,8 @@ class TestLookupInsert:
     def test_insert_existing_line_is_hit(self):
         cache = make_cache()
         cache.insert(0x1000)
-        result = cache.insert(0x1000)
-        assert result.hit
-        assert result.evicted is None
+        assert cache.insert(0x1000) is None
+        assert cache.insertions == 1
 
     def test_lru_eviction(self):
         cache = make_cache(size=1024, assoc=2, line=128)  # 4 sets, 2 ways
@@ -62,17 +61,17 @@ class TestLookupInsert:
         cache.insert(base)                     # way 0
         cache.insert(base + way_stride)        # way 1
         cache.lookup(base)                     # make way 0 MRU
-        result = cache.insert(base + 2 * way_stride)
-        assert result.evicted is not None
-        assert result.evicted.address == base + way_stride
+        evicted = cache.insert(base + 2 * way_stride)
+        assert evicted is not None
+        assert evicted.address == base + way_stride
 
     def test_eviction_reports_dirty(self):
         cache = make_cache(size=1024, assoc=1, line=128)
         stride = cache.num_sets * cache.line_bytes
         cache.insert(0, dirty=True)
-        result = cache.insert(stride)
-        assert result.evicted is not None
-        assert result.evicted.dirty
+        evicted = cache.insert(stride)
+        assert evicted is not None
+        assert evicted.dirty
         assert cache.dirty_evictions == 1
 
     def test_mark_dirty(self):
@@ -94,34 +93,35 @@ class TestZnGTagExtensions:
         cache = make_cache(size=1024, assoc=1, line=128)
         stride = cache.num_sets * cache.line_bytes
         cache.insert(0, prefetched=True)
-        result = cache.insert(stride)
-        assert result.evicted.prefetched
-        assert not result.evicted.accessed
+        evicted = cache.insert(stride)
+        assert evicted.prefetched
+        assert not evicted.accessed
 
     def test_access_clears_waste_signal(self):
         cache = make_cache(size=1024, assoc=1, line=128)
         stride = cache.num_sets * cache.line_bytes
         cache.insert(0, prefetched=True)
         cache.lookup(0)
-        result = cache.insert(stride)
-        assert result.evicted.prefetched
-        assert result.evicted.accessed
+        evicted = cache.insert(stride)
+        assert evicted.prefetched
+        assert evicted.accessed
 
     def test_pinned_lines_survive_eviction(self):
         cache = make_cache(size=1024, assoc=2, line=128)
         stride = cache.num_sets * cache.line_bytes
         cache.insert(0, pinned=True)
         cache.insert(stride)
-        result = cache.insert(2 * stride)
+        evicted = cache.insert(2 * stride)
         # The pinned line must not be the victim.
-        assert result.evicted.address == stride
+        assert evicted.address == stride
 
     def test_fully_pinned_set_bypasses(self):
         cache = make_cache(size=1024, assoc=1, line=128)
         stride = cache.num_sets * cache.line_bytes
         cache.insert(0, pinned=True)
-        result = cache.insert(stride)
-        assert result.bypassed
+        assert cache.insert(stride) is None
+        assert not cache.probe(stride)
+        assert cache.probe(0)
 
     def test_unpin_all(self):
         cache = make_cache()
@@ -163,9 +163,8 @@ class TestProperties:
     def test_inserted_line_immediately_resident(self, addresses):
         cache = make_cache(size=4096, assoc=4, line=128)
         for address in addresses:
-            result = cache.insert(address)
-            if not result.bypassed:
-                assert cache.probe(address)
+            cache.insert(address)
+            assert cache.probe(address)
 
     @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)

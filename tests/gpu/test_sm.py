@@ -5,16 +5,16 @@ import pytest
 from repro.config import GPUConfig
 from repro.gpu.sm import GPUCore, StreamingMultiprocessor
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import AccessType, MemoryRequest, RequestResult
+from repro.platforms import build_platform
+from repro.platforms.zng import PLATFORM_NAMES
+from repro.sim.request import AccessType, MemoryRequest
 
 
 def constant_memory(latency=100.0):
     """A memory hook that completes every request after a fixed latency."""
 
-    def hook(request: MemoryRequest, now: float) -> RequestResult:
-        return RequestResult(
-            request=request, start_cycle=now, completion_cycle=now + latency
-        )
+    def hook(request: MemoryRequest, now: float) -> float:
+        return now + latency
 
     return hook
 
@@ -40,7 +40,7 @@ class TestStreamingMultiprocessor:
 
         def hook(request, now):
             calls.append(request.address)
-            return RequestResult(request=request, start_cycle=now, completion_cycle=now + 100)
+            return now + 100
 
         instr = Instruction(pc=0, addresses=[0x1000], access=AccessType.READ)
         sm.execute_instruction(instr, 0, 0.0, hook)
@@ -129,3 +129,13 @@ class TestGPUCore:
             trace.append(Instruction(pc=0, compute_ops=3))
         result = core.run(traces, constant_memory())
         assert result.instructions == 12
+
+
+class TestPlatformHook:
+    @pytest.mark.parametrize("name", ["GDDR5"] + PLATFORM_NAMES)
+    def test_latency_breakdown_has_no_zero_cycle_component(self, name, tiny_mix):
+        """Platforms charge latencies straight to the breakdown; a component
+        that cost no time must not appear as a key."""
+        result = build_platform(name).run(tiny_mix.combined)
+        assert result.latency_breakdown
+        assert all(cycles > 0 for cycles in result.latency_breakdown.values())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.platforms import build_platform
 from repro.platforms.zng import PLATFORM_NAMES, ZnGPlatform, ZnGVariant
+from repro.sim.request import MemoryRequest
 
 ALL_PLATFORMS = ["GDDR5"] + PLATFORM_NAMES
 
@@ -43,6 +44,14 @@ class TestExecution:
         reads = platform.stats.get("read_requests")
         writes = platform.stats.get("write_requests")
         assert requests == reads + writes
+
+    def test_memory_access_records_physical_address(self):
+        platform = build_platform("GDDR5")
+        platform.mmu.preload({5: 9})
+        request = MemoryRequest(address=5 * 4096 + 128)
+        completion = platform.memory_access(request, 10.0)
+        assert request.physical_address == 9 * 4096 + 128
+        assert completion > 10.0
 
     def test_describe(self, tiny_mix):
         platform = build_platform("ZnG")

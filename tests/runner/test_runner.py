@@ -1,6 +1,5 @@
 """Tests for the sweep orchestrator: parallel equivalence and memoization."""
 
-import os
 import pickle
 
 import pytest
@@ -107,25 +106,19 @@ class TestSweepResultAccessors:
         assert set(table["bfs1"]) == {"ZnG-base", "ZnG"}
 
 
-@pytest.mark.skipif(os.cpu_count() == 1, reason="needs >1 core for wall-clock speedup")
-class TestParallelSpeedup:
-    def test_four_workers_beat_serial(self):
-        import time
-
+class TestFourWorkerEquivalence:
+    def test_four_workers_match_serial(self):
+        """Serial == 4-worker records over every ZnG variant.  The wall-clock
+        speedup of the same comparison is benchmarks/test_parallel_speedup.py."""
         spec = SweepSpec.create(
             platforms=["ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG"],
             workloads=["betw-back", "bfs1-gaus", "pr-gaus"],
             scale=0.15,
             warps_per_sm=4,
         )
-        start = time.perf_counter()
         serial = run_sweep(spec, workers=1)
-        serial_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
         parallel = run_sweep(spec, workers=4)
-        parallel_elapsed = time.perf_counter() - start
         assert serial.stats_dicts() == parallel.stats_dicts()
-        assert parallel_elapsed <= 0.6 * serial_elapsed
 
 
 class TestCellFailureDiscardsPool:

@@ -80,6 +80,19 @@ class TestStatsCollector:
     def test_breakdown_empty(self):
         assert StatsCollector().breakdown_fractions() == {}
 
+    def test_breakdown_accumulates(self):
+        stats = StatsCollector()
+        stats.add_latency("l2", 5.0)
+        stats.add_latency("l2", 3.0)
+        stats.add_latency("flash", 100.0)
+        assert stats.breakdown == {"l2": 8.0, "flash": 100.0}
+
+    def test_breakdown_ignores_nonpositive(self):
+        stats = StatsCollector()
+        stats.add_latency("noop", 0.0)
+        stats.add_latency("negative", -5.0)
+        assert stats.breakdown == {}
+
     def test_merge(self):
         a = StatsCollector()
         b = StatsCollector()

@@ -13,6 +13,18 @@ class TestCLI:
     def test_no_args_shows_help(self, capsys):
         assert main([]) == 0
 
+    @pytest.mark.parametrize("command,section", [
+        ("sweep", "Sweep options::"),
+        ("dispatch", "Dispatch options::"),
+    ])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_subcommand_help(self, capsys, command, section, flag):
+        assert main([command, "--scale", "0.1", flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: python -m repro {command} ")
+        assert section in out and "--workloads" in out
+        assert "missing value" not in out
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "unknown command" in capsys.readouterr().out
