@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import PrefetchConfig
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import CacheLine
 
 
 @dataclass
@@ -41,7 +41,7 @@ class AccessMonitor:
         self.adjustments_up = 0
         self.history: list[MonitorSnapshot] = []
 
-    def observe_eviction(self, record: EvictionRecord) -> Optional[MonitorSnapshot]:
+    def observe_eviction(self, record: CacheLine) -> Optional[MonitorSnapshot]:
         """Account one L2 eviction; maybe adjust the prefetch granularity."""
         self.evict_counter += 1
         self.total_evictions += 1

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.config import PrefetchConfig
 from repro.core.prefetcher import PrefetchDecision
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import CacheLine
 from repro.sim.request import MemoryRequest
 
 
@@ -36,9 +36,9 @@ class NoPrefetch:
         return None
 
     def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
-        return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="disabled")
+        return False, self.line_bytes, "disabled"
 
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, records: Iterable[CacheLine]) -> None:
         return None
 
     @property
@@ -68,12 +68,12 @@ class NextLinePrefetch:
     def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
         if not request.is_read:
             self.demands += 1
-            return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="write")
+            return False, self.line_bytes, "write"
         self.prefetches += 1
         fetch = min(self.window_bytes, self.page_size_bytes)
-        return PrefetchDecision(prefetch=True, fetch_bytes=fetch, reason="fixed_window")
+        return True, fetch, "fixed_window"
 
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, records: Iterable[CacheLine]) -> None:
         return None
 
     @property
@@ -131,16 +131,15 @@ class StridePrefetch:
     def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
         if not request.is_read:
             self.demands += 1
-            return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="write")
+            return False, self.line_bytes, "write"
         entry = self._table.get(request.pc)
         if entry is not None and entry.confidence >= self.confidence_threshold and entry.stride != 0:
             self.prefetches += 1
-            return PrefetchDecision(prefetch=True, fetch_bytes=self.page_size_bytes,
-                                    reason="stride_confirmed")
+            return True, self.page_size_bytes, "stride_confirmed"
         self.demands += 1
-        return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="no_stride")
+        return False, self.line_bytes, "no_stride"
 
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, records: Iterable[CacheLine]) -> None:
         return None
 
     @property

@@ -10,23 +10,19 @@ granularity between 128 B and the full 4 KB page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.config import PrefetchConfig
 from repro.core.access_monitor import AccessMonitor
 from repro.core.predictor import PredictorTable
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import CacheLine
 from repro.sim.request import MemoryRequest
 
-
-@dataclass
-class PrefetchDecision:
-    """What to fetch from flash for one missing read."""
-
-    prefetch: bool
-    fetch_bytes: int
-    reason: str = ""
+#: What to fetch from flash for one missing read, as returned by every
+#: policy's ``on_miss``: ``(prefetch, fetch_bytes, reason)`` — whether the
+#: fetch is a prefetch, how many bytes of the flash page to bring into the
+#: L2, and a short label of why.
+PrefetchDecision = Tuple[bool, int, str]
 
 
 class DynamicReadPrefetcher:
@@ -58,18 +54,16 @@ class DynamicReadPrefetcher:
     def on_miss(self, request: MemoryRequest) -> PrefetchDecision:
         """Decide how many bytes to pull from the flash page for a missing read."""
         if not request.is_read:
-            return PrefetchDecision(prefetch=False, fetch_bytes=self.line_bytes, reason="write")
+            return False, self.line_bytes, "write"
         if self.predictor.should_prefetch(request.pc):
             fetch = max(self.line_bytes, min(self.monitor.granularity_bytes, self.page_size_bytes))
             self.prefetches_issued += 1
-            return PrefetchDecision(prefetch=True, fetch_bytes=fetch, reason="cutoff_pass")
+            return True, fetch, "cutoff_pass"
         self.demand_fetches += 1
-        return PrefetchDecision(
-            prefetch=False, fetch_bytes=self.line_bytes, reason="cutoff_fail"
-        )
+        return False, self.line_bytes, "cutoff_fail"
 
     # -- eviction feedback --------------------------------------------------------
-    def observe_evictions(self, records: Iterable[EvictionRecord]) -> None:
+    def observe_evictions(self, records: Iterable[CacheLine]) -> None:
         for record in records:
             self.monitor.observe_eviction(record)
 

@@ -17,7 +17,7 @@ the group's log block.  Neither path involves an SSD controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.config import FTLConfig, ZNANDConfig
 from repro.core.dbmt import DataBlockMappingTable, DBMTEntry
@@ -153,9 +153,8 @@ class ZeroOverheadFTL:
         return flat_block_id % self.geometry.blocks_per_plane
 
     def ppn_in_block(self, flat_block_id: int, page_index: int) -> int:
-        return self.geometry.ppn_of(
-            self.block_plane(flat_block_id), self.block_in_plane(flat_block_id), page_index
-        )
+        plane, block = divmod(flat_block_id, self.geometry.blocks_per_plane)
+        return self.geometry.ppn_of(plane, block, page_index)
 
     def row_decoder(self, plane: int) -> ProgrammableRowDecoder:
         """The (lazily created) programmable row decoder of one plane."""
@@ -196,22 +195,20 @@ class ZeroOverheadFTL:
     # ------------------------------------------------------------------
     # Address translation
     # ------------------------------------------------------------------
-    def _split(self, virtual_page: int) -> Tuple[int, int]:
-        pages_per_block = self.pages_per_block()
-        return virtual_page // pages_per_block, virtual_page % pages_per_block
-
-    def entry_for_page(self, virtual_page: int) -> DBMTEntry:
-        vbn, _ = self._split(virtual_page)
+    def _entry(self, vbn: int) -> DBMTEntry:
         entry = self.dbmt.lookup(vbn)
         if entry is None:
             entry = self.map_virtual_block(vbn)
         return entry
 
+    def entry_for_page(self, virtual_page: int) -> DBMTEntry:
+        return self._entry(virtual_page // self.geometry.pages_per_block)
+
     def translate_read(self, virtual_page: int) -> ReadTranslation:
         """Find the flash page holding the latest copy of a virtual page."""
         self.reads_translated += 1
-        vbn, page_index = self._split(virtual_page)
-        entry = self.entry_for_page(virtual_page)
+        vbn, page_index = divmod(virtual_page, self.geometry.pages_per_block)
+        entry = self._entry(vbn)
         decoder = self.decoder_of_block(entry.plbn)
         log_page = decoder.search(entry.plbn, entry.pdbn, page_index)
         if log_page is not None:
@@ -236,8 +233,8 @@ class ZeroOverheadFTL:
         immediately, for ZnG-base, or lazily when a flash register evicts).
         """
         self.writes_allocated += 1
-        vbn, page_index = self._split(virtual_page)
-        entry = self.entry_for_page(virtual_page)
+        vbn, page_index = divmod(virtual_page, self.geometry.pages_per_block)
+        entry = self._entry(vbn)
         decoder = self.decoder_of_block(entry.plbn)
         table = decoder.table_for(entry.plbn)
         time = now
@@ -249,7 +246,7 @@ class ZeroOverheadFTL:
             gc_performed = True
             self.gc_merges += 1
             # The entry's log block may have been replaced by the merge.
-            entry = self.entry_for_page(virtual_page)
+            entry = self._entry(vbn)
             decoder = self.decoder_of_block(entry.plbn)
             table = decoder.table_for(entry.plbn)
         log_page = decoder.program(entry.plbn, entry.pdbn, page_index)

@@ -5,19 +5,29 @@ variants), the HybridGPU DRAM read/write buffer and the page-walk cache.  ZnG
 extends the L2 tag array with *prefetch* and *accessed* bits (Section IV-B);
 those bits live on :class:`CacheLine` so the prefetcher's access monitor can
 inspect them on eviction.
+
+Eviction contract: :meth:`SetAssociativeCache.insert` returns the evicted
+:class:`CacheLine` itself — removed from the tag array, so nothing mutates
+it afterwards — or ``None`` when nothing was evicted.  The line carries its
+line-aligned ``address`` and the ``dirty``/``prefetched``/``accessed`` bits
+it had when it left, which is everything a consumer (the access monitor,
+the SSD engine's write-back) reads.  Callers that do not care about
+evictions (the L1D, the page-walk cache) simply drop the return value, so
+an eviction costs no allocation beyond the line that was already there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 
 @dataclass(slots=True)
 class CacheLine:
     """One tag-array entry."""
 
-    tag: int
+    #: Line-aligned byte address of the cached line.
+    address: int
     dirty: bool = False
     # ZnG tag-array extension (Section IV-B).
     prefetched: bool = False
@@ -25,16 +35,6 @@ class CacheLine:
     # Pinned lines hold dirty flash-register spill data (Section IV-C) and are
     # excluded from normal replacement while pinned.
     pinned: bool = False
-
-
-@dataclass
-class EvictionRecord:
-    """Information about an evicted line, consumed by the access monitor."""
-
-    address: int
-    dirty: bool
-    prefetched: bool
-    accessed: bool
 
 
 class SetAssociativeCache:
@@ -65,9 +65,11 @@ class SetAssociativeCache:
         # Sets are allocated on first touch: a large L2 has thousands of sets
         # and eagerly building one dict per set dominates platform
         # construction at smoke scales, while most sweeps touch a fraction
-        # of them.  Keyed by set index -> {tag: line}.  A set's dict order is
-        # its recency order: every touch re-inserts the line at the end, so
-        # the least recently used line comes first.
+        # of them.  Keyed by set index -> {line number: line}; the line
+        # number (address // line_bytes) identifies a line within its set as
+        # well as a tag would.  A set's dict order is its recency order:
+        # every touch re-inserts the line at the end, so the least recently
+        # used line comes first.
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
         # Statistics.
         self.hits = 0
@@ -77,12 +79,10 @@ class SetAssociativeCache:
         self.insertions = 0
 
     # -- address helpers ----------------------------------------------------
-    def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        # NOTE: lookup() and insert() inline these two expressions (they are
-        # the hottest paths); change the indexing scheme in all three places
-        # together.
-        line_number = address // self.line_bytes
-        return line_number % self.num_sets, line_number // self.num_sets
+    # Every operation finds a line the same way, inline (one call per probe
+    # is measurable on the request path): line number = address //
+    # line_bytes, set = line number % num_sets, and the line number is the
+    # key within the set.
 
     def line_address(self, address: int) -> int:
         return (address // self.line_bytes) * self.line_bytes
@@ -90,15 +90,12 @@ class SetAssociativeCache:
     # -- core operations ----------------------------------------------------
     def lookup(self, address: int, mark_accessed: bool = True) -> bool:
         """Probe the cache; update LRU state on a hit."""
-        # Inlined _index_and_tag (keep in lockstep with it): one probe per
-        # L1/L2 access makes the call + tuple overhead measurable.
         line_number = address // self.line_bytes
         cache_set = self._sets.get(line_number % self.num_sets)
         if cache_set:
-            tag = line_number // self.num_sets
-            line = cache_set.pop(tag, None)
+            line = cache_set.pop(line_number, None)
             if line is not None:
-                cache_set[tag] = line
+                cache_set[line_number] = line
                 if mark_accessed:
                     line.accessed = True
                 self.hits += 1
@@ -108,9 +105,9 @@ class SetAssociativeCache:
 
     def probe(self, address: int) -> bool:
         """Check residency without perturbing LRU state or statistics."""
-        set_index, tag = self._index_and_tag(address)
-        cache_set = self._sets.get(set_index)
-        return bool(cache_set) and tag in cache_set
+        line_number = address // self.line_bytes
+        cache_set = self._sets.get(line_number % self.num_sets)
+        return bool(cache_set) and line_number in cache_set
 
     def insert(
         self,
@@ -118,67 +115,55 @@ class SetAssociativeCache:
         dirty: bool = False,
         prefetched: bool = False,
         pinned: bool = False,
-    ) -> Optional[EvictionRecord]:
+    ) -> Optional[CacheLine]:
         """Allocate a line for ``address``; evict LRU if the set is full.
 
-        Returns the evicted line's record, or ``None`` when nothing was
-        evicted: the line was already resident, a way was free, or every
-        way is pinned and the allocation is bypassed.
+        Returns the evicted line, or ``None`` when nothing was evicted: the
+        line was already resident, a way was free, or every way is pinned
+        and the allocation is bypassed.
         """
-        line_number = address // self.line_bytes
-        num_sets = self.num_sets
-        set_index = line_number % num_sets
-        tag = line_number // num_sets
+        line_bytes = self.line_bytes
+        line_number = address // line_bytes
+        set_index = line_number % self.num_sets
         cache_set = self._sets.get(set_index)
         if cache_set is None:
             cache_set = self._sets[set_index] = {}
-        existing = cache_set.pop(tag, None)
+        existing = cache_set.pop(line_number, None)
         if existing is not None:
-            cache_set[tag] = existing
+            cache_set[line_number] = existing
             existing.dirty = existing.dirty or dirty
             existing.pinned = existing.pinned or pinned
             if not prefetched:
                 existing.accessed = True
             return None
 
-        evicted: Optional[EvictionRecord] = None
+        evicted: Optional[CacheLine] = None
         if len(cache_set) >= self.assoc:
-            evicted = self._evict_lru(set_index)
-            if evicted is None:
+            # Evict the least recently used unpinned line.
+            for victim, evicted in cache_set.items():
+                if not evicted.pinned:
+                    break
+            else:
                 # Every line in the set is pinned: bypass the allocation.
                 return None
-        cache_set[tag] = CacheLine(tag, dirty, prefetched, not prefetched, pinned)
+            del cache_set[victim]
+            self.evictions += 1
+            if evicted.dirty:
+                self.dirty_evictions += 1
+        cache_set[line_number] = CacheLine(
+            line_number * line_bytes, dirty, prefetched, not prefetched, pinned)
         self.insertions += 1
         return evicted
 
-    def _evict_lru(self, set_index: int) -> Optional[EvictionRecord]:
-        cache_set = self._sets[set_index]
-        for tag, line in cache_set.items():
-            if not line.pinned:
-                break
-        else:
-            return None
-        del cache_set[tag]
-        self.evictions += 1
-        if line.dirty:
-            self.dirty_evictions += 1
-        address = (line.tag * self.num_sets + set_index) * self.line_bytes
-        return EvictionRecord(
-            address=address,
-            dirty=line.dirty,
-            prefetched=line.prefetched,
-            accessed=line.accessed,
-        )
-
     def invalidate(self, address: int) -> bool:
-        set_index, tag = self._index_and_tag(address)
-        cache_set = self._sets.get(set_index)
-        return cache_set is not None and cache_set.pop(tag, None) is not None
+        line_number = address // self.line_bytes
+        cache_set = self._sets.get(line_number % self.num_sets)
+        return cache_set is not None and cache_set.pop(line_number, None) is not None
 
     def mark_dirty(self, address: int) -> bool:
-        set_index, tag = self._index_and_tag(address)
-        cache_set = self._sets.get(set_index)
-        line = cache_set.get(tag) if cache_set else None
+        line_number = address // self.line_bytes
+        cache_set = self._sets.get(line_number % self.num_sets)
+        line = cache_set.get(line_number) if cache_set else None
         if line is None:
             return False
         line.dirty = True
@@ -197,8 +182,7 @@ class SetAssociativeCache:
     def for_each_line(self, callback: Callable[[int, CacheLine], None]) -> None:
         for set_index in sorted(self._sets):
             for line in self._sets[set_index].values():
-                address = (line.tag * self.num_sets + set_index) * self.line_bytes
-                callback(address, line)
+                callback(line.address, line)
 
     # -- statistics ---------------------------------------------------------
     @property

@@ -2,13 +2,14 @@
 
 Before a warp's 32 per-thread accesses reach the L1D cache, the coalescing
 unit merges them into as few 128 B memory requests as possible (Section II-A).
+A request is represented by its segment address; the SM builds a
+:class:`~repro.sim.request.MemoryRequest` only for the requests that go
+below its L1.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-from repro.sim.request import AccessType, MemoryRequest
+from typing import List, Optional, Sequence
 
 #: Segment granularity trace generators precompute ``Instruction.segments``
 #: at.  A coalescer configured with any other ``request_bytes`` (e.g. a
@@ -35,17 +36,12 @@ class CoalescingUnit:
         )
         return segments
 
-    def coalesce(
+    def segments(
         self,
         addresses: Sequence[int],
-        access: AccessType,
-        warp_id: int = 0,
-        sm_id: int = 0,
-        pc: int = 0,
-        issue_cycle: float = 0.0,
         segments: Optional[Sequence[int]] = None,
-    ) -> List[MemoryRequest]:
-        """Build coalesced :class:`MemoryRequest` objects for one warp instruction.
+    ) -> Sequence[int]:
+        """The 128 B-aligned segment addresses one warp instruction touches.
 
         ``segments`` short-circuits the address collapse with segment
         addresses precomputed at trace-generation time (see
@@ -58,18 +54,13 @@ class CoalescingUnit:
             segments = None
         if segments is None:
             if not addresses:
-                return []
+                return ()
             segments = self.coalesce_addresses(addresses)
         elif not segments:
-            return []
+            return ()
         self.instructions_coalesced += 1
-        size = self.request_bytes
-        requests = [
-            MemoryRequest(segment, size, access, warp_id, sm_id, pc, issue_cycle)
-            for segment in segments
-        ]
-        self.requests_generated += len(requests)
-        return requests
+        self.requests_generated += len(segments)
+        return segments
 
     def coalescing_efficiency(self) -> float:
         """Average number of requests per coalesced warp instruction."""

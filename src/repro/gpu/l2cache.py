@@ -13,19 +13,12 @@ bank conflicts and the extra STT-MRAM write occupancy show up as queueing.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import GPUConfig, STTMRAMConfig
-from repro.gpu.cache import EvictionRecord, SetAssociativeCache
+from repro.gpu.cache import CacheLine, SetAssociativeCache
 from repro.gpu.mshr import MSHR
 from repro.sim.engine import Resource
-
-
-class L2AccessOutcome(NamedTuple):
-    """Result of probing the shared L2 for one memory request."""
-
-    hit: bool
-    ready_cycle: float
 
 
 class SharedL2Cache:
@@ -67,7 +60,11 @@ class SharedL2Cache:
         ]
         self.write_bypasses = 0
         self.prefetch_insertions = 0
-        self.evicted_records: List[EvictionRecord] = []
+        #: Lines evicted since the last :meth:`drain_evictions`, kept only
+        #: while ``keep_evictions`` is set: the ZnG prefetcher's access
+        #: monitor is their one consumer, and no other platform drains them.
+        self.keep_evictions = False
+        self.evicted_records: List[CacheLine] = []
 
     # -- helpers ------------------------------------------------------------
     def bank_of(self, address: int) -> int:
@@ -107,16 +104,27 @@ class SharedL2Cache:
         )
 
     # -- access path --------------------------------------------------------
-    def access(self, address: int, is_write: bool, now: float) -> L2AccessOutcome:
-        """Probe the L2 for a 128 B request; allocate on write hits only.
+    def access(self, address: int, is_write: bool, now: float) -> Tuple[bool, float]:
+        """Probe the L2 for a 128 B request; return ``(hit, ready_cycle)``.
 
-        A *read-only* L2 (STT-MRAM) never allocates lines for writes and
-        invalidates any stale copy instead, matching Section III-C.
+        Allocates on write hits only.  A *read-only* L2 (STT-MRAM) never
+        allocates lines for writes and invalidates any stale copy instead,
+        matching Section III-C.
         """
         bank = (address // self.line_bytes) % self.banks  # bank_of(), inlined
         array = self._bank_arrays[bank]
         latency = self.write_latency_cycles if is_write else self.read_latency_cycles
-        ready = self._bank_ports[bank].acquire(now, latency) + latency
+        # Single-port bank booking, inlined (see repro.sim.engine).
+        port = self._bank_ports[bank]
+        free_at = port._free_at
+        free = free_at[0]
+        start = now if now > free else free
+        ready = start + latency
+        free_at[0] = ready
+        port.busy_cycles += latency
+        port.wait_cycles += start - now
+        port.requests_served += 1
+        port.last_completion = ready
 
         if is_write:
             if self.read_only:
@@ -124,12 +132,12 @@ class SharedL2Cache:
                 # invalidating.
                 array.invalidate(address)
                 self.write_bypasses += 1
-                return L2AccessOutcome(False, ready)
+                return False, ready
             hit = array.lookup(address)
             if hit:
                 array.mark_dirty(address)
-            return L2AccessOutcome(hit, ready)
-        return L2AccessOutcome(array.lookup(address), ready)
+            return hit, ready
+        return array.lookup(address), ready
 
     def fill(
         self,
@@ -146,12 +154,12 @@ class SharedL2Cache:
         fill's future completion time ``now`` would falsely delay earlier
         demand accesses.)
         """
-        evicted = self._bank_arrays[self.bank_of(address)].insert(
+        evicted = self._bank_arrays[(address // self.line_bytes) % self.banks].insert(
             address, dirty, prefetched, pinned
         )
         if prefetched:
             self.prefetch_insertions += 1
-        if evicted is not None:
+        if evicted is not None and self.keep_evictions:
             self.evicted_records.append(evicted)
 
     def fill_page(
@@ -169,7 +177,7 @@ class SharedL2Cache:
         """
         span = min(page_bytes, limit_bytes) if limit_bytes else page_bytes
         bank_arrays = self._bank_arrays
-        evicted_records = self.evicted_records
+        keep = self.evicted_records.append if self.keep_evictions else None
         line_bytes = self.line_bytes
         num_banks = self.banks
         offsets = range(0, span, line_bytes)
@@ -178,15 +186,15 @@ class SharedL2Cache:
             evicted = bank_arrays[(address // line_bytes) % num_banks].insert(
                 address, False, prefetched
             )
-            if evicted is not None:
-                evicted_records.append(evicted)
+            if evicted is not None and keep is not None:
+                keep(evicted)
         if prefetched:
             self.prefetch_insertions += len(offsets)
 
     def probe(self, address: int) -> bool:
         return self._bank_arrays[self.bank_of(address)].probe(address)
 
-    def drain_evictions(self) -> List[EvictionRecord]:
+    def drain_evictions(self) -> List[CacheLine]:
         records = self.evicted_records
         self.evicted_records = []
         return records

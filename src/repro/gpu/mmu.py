@@ -97,17 +97,28 @@ class MMU:
         """
         self._fault_handler = handler
 
-    def translate(self, virtual_address: int, now: float) -> TranslationResult:
-        """Translate a virtual address, charging TLB/walk/fault latency."""
+    def translate(self, virtual_address: int, now: float) -> Tuple[int, float, bool, bool, bool]:
+        """Translate a virtual address, charging TLB/walk/fault latency.
+
+        Returns the fields of :class:`TranslationResult`.  A TLB hit, the
+        common case, returns them as a plain tuple; a miss returns a
+        :class:`TranslationResult`.  Both unpack the same way.
+        """
         self.translations += 1
         page_size = self._page_size
-        cached_frame = self.tlb.lookup(virtual_address)
+        vpn = virtual_address // page_size
+        # TLB.lookup(), inlined: one probe per request.
+        tlb = self.tlb
+        tlb_entries = tlb._entries
+        cached_frame = tlb_entries.get(vpn)
         if cached_frame is not None:
-            return TranslationResult(
-                cached_frame * page_size + virtual_address % page_size, 1.0, True)
+            tlb_entries.move_to_end(vpn)
+            tlb.hits += 1
+            return (cached_frame * page_size + virtual_address % page_size,
+                    1.0, True, False, False)
+        tlb.misses += 1
 
         # TLB miss: a walk thread is allocated (Section II-A).
-        vpn = virtual_address // page_size
         walk_cache_hit = self.walk_cache.lookup(vpn * 8)
         walk_latency = (
             self.config.page_walk_cache_latency_cycles

@@ -24,7 +24,7 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.coalescer import CoalescingUnit
 from repro.gpu.mshr import MSHR
 from repro.gpu.warp import Instruction, WarpTrace
-from repro.sim.request import MemoryRequest
+from repro.sim.request import AccessType, MemoryRequest
 from repro.sim.engine import Resource
 from repro.telemetry import core as _telemetry
 
@@ -75,63 +75,86 @@ class StreamingMultiprocessor:
     ) -> float:
         """Execute one trace record for a warp; return the warp's next ready cycle."""
         stats = self.stats
+        # The issue port is booked inline with the single-port fast path of
+        # repro.sim.engine (one or two bookings per instruction).
+        port = self.issue_port
+        free_at = port._free_at
         ready = now
         # Arithmetic portion: occupies the issue port for one cycle per op.
         compute_ops = instruction.compute_ops
         if compute_ops:
-            start = self.issue_port.acquire(ready, float(compute_ops))
-            ready = start + compute_ops
+            duration = float(compute_ops)
+            free = free_at[0]
+            start = ready if ready > free else free
+            completion = start + duration
+            free_at[0] = completion
+            port.busy_cycles += duration
+            port.wait_cycles += start - ready
+            port.requests_served += 1
+            port.last_completion = completion
+            ready = completion
             stats.instructions += compute_ops
 
         if not instruction.addresses:
             return ready
 
         # Memory instruction: one issue slot, then coalescing and the cache path.
-        start = self.issue_port.acquire(ready, 1.0)
-        ready = start + 1.0
+        free = free_at[0]
+        start = ready if ready > free else free
+        completion = start + 1.0
+        free_at[0] = completion
+        port.busy_cycles += 1.0
+        port.wait_cycles += start - ready
+        port.requests_served += 1
+        port.last_completion = completion
+        ready = completion
         stats.instructions += 1
         stats.memory_instructions += 1
 
-        requests = self.coalescer.coalesce(
-            instruction.addresses,
-            instruction.access,
-            warp_id,
-            self.sm_id,
-            instruction.pc,
-            ready,
-            instruction.segments,
-        )
-        # Writes never probe the MSHR.  Its probes retire finished entries
-        # lazily, and the issue port hands out non-decreasing start cycles,
-        # so each probe sees a ``ready`` no earlier than the last one:
-        # retiring at the next read's probe leaves the same entries.
+        coalescer = self.coalescer
+        segments = coalescer.segments(instruction.addresses, instruction.segments)
+        access = instruction.access
+        is_write = access is AccessType.WRITE
+        size = coalescer.request_bytes
+        pc = instruction.pc
+        sm_id = self.sm_id
         l1 = self.l1
+        line_bytes = l1.line_bytes
         mshr = self.mshr
         l1_ready = ready + self._l1_latency
         completion = ready
-        stats.memory_requests += len(requests)
-        for request in requests:
-            address = request.address
-            if request.is_write:
+        stats.memory_requests += len(segments)
+        # Each segment is one coalesced request; a MemoryRequest is built
+        # only for the ones that go below the L1.  Writes never probe the
+        # MSHR.  Its probes retire finished entries lazily, and the issue
+        # port hands out non-decreasing start cycles, so each probe sees a
+        # ``ready`` no earlier than the last one: retiring at the next read's
+        # probe leaves the same entries.
+        for address in segments:
+            if is_write:
                 # Write-through, no-allocate L1 (typical for GPU L1D): the
                 # write always goes below; a stale copy is invalidated.
                 l1.invalidate(address)
-                finish = memory_fn(request, l1_ready)
+                finish = memory_fn(
+                    MemoryRequest(address, size, access, warp_id, sm_id, pc, ready),
+                    l1_ready)
             elif l1.lookup(address):
                 stats.l1_hits += 1
                 finish = l1_ready
             else:
                 stats.l1_misses += 1
-                line_address = l1.line_address(address)
-                inflight = mshr.lookup(line_address, ready)
-                if inflight is not None:
+                line_address = (address // line_bytes) * line_bytes
+                inflight_fill = mshr.lookup(line_address, ready)
+                if inflight_fill is not None:
                     # Secondary miss: piggyback on the outstanding fill.
-                    mshr.allocate(line_address, ready, inflight.fill_cycle)
-                    finish = inflight.fill_cycle
+                    mshr.allocate(line_address, ready, inflight_fill)
+                    finish = inflight_fill
                     if finish < l1_ready:
                         finish = l1_ready
                 else:
-                    finish = memory_fn(request, l1_ready)
+                    finish = memory_fn(
+                        MemoryRequest(address, size, access, warp_id, sm_id, pc, ready),
+                        l1_ready)
                     mshr.allocate(line_address, ready, finish)
                     l1.insert(address)
             if finish > completion:
@@ -196,6 +219,7 @@ class GPUCore:
         sm_count = len(sms)
         push = heapq.heappush
         pop = heapq.heappop
+        replace = heapq.heapreplace
 
         # Warp events are (ready_cycle, sequence, trace, position) tuples.
         # Warps beyond the residency limit of an SM start only when an earlier
@@ -222,11 +246,16 @@ class GPUCore:
         while heap:
             if trace_depth and len(heap) > max_depth:
                 max_depth = len(heap)
-            ready, _, trace, position = pop(heap)
+            # The earliest event stays on the heap while its instruction
+            # runs (nothing else touches the heap meanwhile) and is replaced
+            # by the warp's next event in one sift.  (ready, sequence) keys
+            # are unique, so the pop order is that of a pop then a push.
+            ready, _, trace, position = heap[0]
             events += 1
             instructions = trace.instructions
             sm = sms[trace.sm_id % sm_count]
             if position >= len(instructions):
+                pop(heap)
                 # Warp finished: admit the next pending warp on this SM.
                 waiting = pending.get(trace.sm_id % sm_count)
                 if waiting:
@@ -240,7 +269,7 @@ class GPUCore:
             next_ready = sm.execute_instruction(
                 instructions[position], trace.warp_id, ready, memory_fn
             )
-            push(heap, (next_ready, sequence, trace, position + 1))
+            replace(heap, (next_ready, sequence, trace, position + 1))
             sequence += 1
 
         self.last_max_queue_depth = max_depth

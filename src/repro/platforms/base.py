@@ -289,16 +289,17 @@ class GPUSSDPlatform(ABC):
         breakdown = self.stats.breakdown
 
         # 1. Virtual-address translation through the shared TLB/MMU.
-        translation = self.mmu.translate(address, now)
-        latency = translation.latency_cycles
+        physical_address, latency, tlb_hit, _, _ = self.mmu.translate(address, now)
         if latency > 0:
-            breakdown["tlb" if translation.tlb_hit else "mmu"] += latency
+            breakdown["tlb" if tlb_hit else "mmu"] += latency
         time = now + latency
-        request.physical_address = translation.physical_address
+        request.physical_address = physical_address
 
-        # 2. Interconnect hop from the SM to the target L2 bank.
+        # 2. Interconnect hop from the SM to the target L2 bank (bank_of(),
+        # inlined).
         l2 = self.l2
-        arrival = self.noc.send(l2.bank_of(address), request.size, time)
+        arrival = self.noc.send(
+            (address // l2.line_bytes) % l2.banks, request.size, time)
         latency = arrival - time
         if latency > 0:
             breakdown["l1_l2_net"] += latency

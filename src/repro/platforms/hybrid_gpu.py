@@ -17,7 +17,7 @@ from repro.platforms.base import GPUSSDPlatform, PlatformResult
 from repro.sim.request import MemoryRequest
 from repro.ssd.flash_network import FlashNetwork
 from repro.ssd.ftl_firmware import PageMappedFTL
-from repro.ssd.ssd_engine import SSDEngine
+from repro.ssd.ssd_engine import SERVICE_COMPONENTS, SSDEngine
 from repro.ssd.znand import ZNANDArray
 from repro.workloads.trace import WorkloadTrace
 
@@ -49,22 +49,19 @@ class HybridGPUPlatform(GPUSSDPlatform):
 
     # ------------------------------------------------------------------
     def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
-        service = self.engine.service(
-            request.address, request.size, is_write=False, now=now
+        # Reads and writes (the base class routes writes here too) take the
+        # same path through the engine; a write leaves its L2 line dirty.
+        is_write = request.is_write
+        completion, _, *cycles = self.engine.service(
+            request.address, request.size, is_write, now
         )
-        for component, cycles in service.breakdown.items():
-            self.stats.add_latency(component, cycles)
-        self.l2.fill(request.address, service.completion_cycle)
-        return service.completion_cycle
-
-    def _service_write(self, request: MemoryRequest, now: float) -> float:
-        service = self.engine.service(
-            request.address, request.size, is_write=True, now=now
-        )
-        for component, cycles in service.breakdown.items():
-            self.stats.add_latency(component, cycles)
-        self.l2.fill(request.address, service.completion_cycle, dirty=True)
-        return service.completion_cycle
+        # stats.add_latency(), inlined for the engine's components.
+        breakdown = self.stats.breakdown
+        for component, charge in zip(SERVICE_COMPONENTS, cycles):
+            if charge > 0:
+                breakdown[component] += charge
+        self.l2.fill(request.address, completion, dirty=is_write)
+        return completion
 
     # ------------------------------------------------------------------
     def _flash_read_bandwidth_gbps(self, cycles: float) -> float:

@@ -87,6 +87,8 @@ class ZnGPlatform(GPUSSDPlatform):
                 page_size_bytes=znand.page_size_bytes,
                 line_bytes=self.config.gpu.l2_line_bytes,
             )
+            # The prefetcher drains the L2's evictions after every miss.
+            self.l2.keep_evictions = True
 
         # Every Z-NAND program goes through a plane register, so even the base
         # design buffers writes in the plane's own (2) registers.  The write
@@ -133,66 +135,70 @@ class ZnGPlatform(GPUSSDPlatform):
     # Read path
     # ------------------------------------------------------------------
     def _service_l2_miss(self, request: MemoryRequest, now: float) -> float:
-        virtual_page = request.address // self.page_size
-        translation = self.ftl.translate_read(virtual_page)
+        address = request.address
+        virtual_page = address // self.page_size
+        ppn = self.ftl.translate_read(virtual_page).ppn
         time = now
+        stats = self.stats
+        breakdown = stats.breakdown
 
         # If the latest copy of the page is still dirty in a flash register,
         # serve it from the register over the flash network.
-        if self.register_cache is not None:
-            plane = self.array.geometry.plane_of_ppn(translation.ppn)
-            group = self.register_cache.group_of_plane(plane)
-            if self.register_cache.holds(group, virtual_page):
-                channel = self.array.geometry.channel_of_ppn(translation.ppn)
-                completion = self.flash_network.transfer(channel, request.size, time)
-                self.stats.add_latency("flash_register", completion - time)
-                self.stats.add("register_read_hits")
-                return completion
+        register_cache = self.register_cache
+        plane = self.array.geometry.plane_of_ppn(ppn)
+        if register_cache.holds(register_cache.group_of_plane(plane), virtual_page):
+            channel = self.array.geometry.channel_of_ppn(ppn)
+            completion = self.flash_network.transfer(channel, request.size, time)
+            stats.add_latency("flash_register", completion - time)
+            stats.add("register_read_hits")
+            return completion
 
         # Plane-private registers (base/rdopt) must be drained before the plane
         # can sense a read; the package-wide write cache does not block reads.
-        plane = self.array.geometry.plane_of_ppn(translation.ppn)
-        drained = self.register_cache.prepare_plane_for_read(
+        drained = register_cache.prepare_plane_for_read(
             plane, time, self._program_log_page
         )
         if drained > time:
-            self.stats.add_latency("register_flush", drained - time)
-            self.stats.add("forced_register_flushes")
+            stats.add_latency("register_flush", drained - time)
+            stats.add("forced_register_flushes")
             time = drained
 
         # Decide how much of the flash page to pull into the L2.  (Training
         # happens on every read in the base request path, not only on misses.)
         fetch_bytes = request.size
         prefetched = False
-        if self.prefetcher is not None:
-            decision = self.prefetcher.on_miss(request)
-            fetch_bytes = decision.fetch_bytes
-            prefetched = decision.prefetch
+        prefetcher = self.prefetcher
+        if prefetcher is not None:
+            prefetched, fetch_bytes, _ = prefetcher.on_miss(request)
 
-        operation = self.controllers.read(translation.ppn, time, transfer_bytes=fetch_bytes)
-        stats = self.stats
-        stats.add_latency("flash_array", operation.array_cycles)
-        stats.add_latency("flash_network", operation.transfer_cycles)
-        stats.add_latency(
-            "flash_controller",
-            max(0.0, (operation.completion_cycle - time) - operation.array_cycles - operation.transfer_cycles),
-        )
+        operation = self.controllers.read(ppn, time, transfer_bytes=fetch_bytes)
+        # stats.add_latency(), inlined for the three flash components.
+        array_cycles = operation.array_cycles
+        transfer_cycles = operation.transfer_cycles
         completion = operation.completion_cycle
-        self.stats.add("flash_page_reads")
+        if array_cycles > 0:
+            breakdown["flash_array"] += array_cycles
+        if transfer_cycles > 0:
+            breakdown["flash_network"] += transfer_cycles
+        controller_cycles = max(0.0, (completion - time) - array_cycles - transfer_cycles)
+        if controller_cycles > 0:
+            breakdown["flash_controller"] += controller_cycles
+        stats.add("flash_page_reads")
 
         # Fill the L2: the demand line plus (for prefetches) the neighbouring
         # lines of the page up to the chosen granularity.
-        page_base = (request.address // self.page_size_flash) * self.page_size_flash
+        l2 = self.l2
+        page_size_flash = self.page_size_flash
         if prefetched and fetch_bytes > self.line_bytes:
-            line_offset = request.address - page_base
-            start = page_base + (line_offset // fetch_bytes) * fetch_bytes
-            self.l2.fill_page(
-                start, self.page_size_flash, completion,
+            page_base = (address // page_size_flash) * page_size_flash
+            start = page_base + ((address - page_base) // fetch_bytes) * fetch_bytes
+            l2.fill_page(
+                start, page_size_flash, completion,
                 prefetched=True, limit_bytes=fetch_bytes,
             )
-        self.l2.fill(request.address, completion, prefetched=False)
-        if self.prefetcher is not None:
-            self.prefetcher.observe_evictions(self.l2.drain_evictions())
+        l2.fill(address, completion, prefetched=False)
+        if prefetcher is not None:
+            prefetcher.observe_evictions(l2.drain_evictions())
         return completion
 
     # ------------------------------------------------------------------

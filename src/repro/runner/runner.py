@@ -57,21 +57,43 @@ def _trace_shm_name(memo_key: Tuple) -> str:
     return f"repro_trace_{digest}"
 
 
+#: Whether this process talks to a resource tracker it inherited from the
+#: process that forked it.  A pool worker forked after the parent published
+#: a trace shares the parent's tracker; one forked earlier starts its own on
+#: first use.  Set in every forked child.
+_TRACKER_INHERITED = False
+
+
+def _note_inherited_tracker() -> None:
+    global _TRACKER_INHERITED
+    _TRACKER_INHERITED = resource_tracker._resource_tracker._fd is not None
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_note_inherited_tracker)
+
+
 def _attach_shared_trace(memo_key: Tuple):
     """Unpickle a parent-published trace from shared memory, or ``None``.
 
     Attaching registers the segment with this process's resource tracker
-    (bpo-39959), which would try to unlink it again at worker exit — the
-    parent owns the segment lifetime, so the registration is undone here.
+    (bpo-39959).  The publishing parent owns the segment's lifetime, so a
+    registration with any *other* tracker — a worker's own, which would
+    unlink the segment again at worker exit — is undone here.  A worker
+    that shares the parent's tracker leaves it alone: the tracker keeps one
+    entry per name, so undoing the worker's registration would drop the
+    parent's, and the parent's own unlink would then fail in the tracker.
     """
+    name = _trace_shm_name(memo_key)
     try:
-        segment = shared_memory.SharedMemory(name=_trace_shm_name(memo_key))
+        segment = shared_memory.SharedMemory(name=name)
     except (FileNotFoundError, OSError):
         return None
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
+    if not _TRACKER_INHERITED and name not in _SHARED_TRACES:
+        try:
+            resource_tracker.unregister(segment._name, "shared_memory")
+        except Exception:
+            pass
     try:
         return pickle.loads(bytes(segment.buf))
     except Exception:
@@ -161,6 +183,10 @@ SharedMemory` segment, and workers attach by the deterministic name derived
             segment.unlink()
         except Exception:
             pass
+
+    def __contains__(self, name: str) -> bool:
+        """Whether this process published (and owns) the segment ``name``."""
+        return name in self._segments
 
     def close(self) -> None:
         """Unlink every published segment (idempotent)."""

@@ -12,6 +12,33 @@ transfer size to a duration.
 
 This approach is deterministic, fast (no event heap per cycle) and produces
 the latency/bandwidth/ordering behaviour the paper's figures depend on.
+
+Single-port fast path.  Most resources have one port (SM issue ports, L2
+bank ports, NoC and flash links, planes, dispatchers), and a single-port
+booking needs no heap: the port's free time is ``_free_at[0]``.  The
+hottest callers book such a port inline instead of calling
+:meth:`Resource.acquire` — :meth:`BandwidthResource.transfer`, the SM issue
+port (``StreamingMultiprocessor.execute_instruction``) and the L2 bank port
+(``SharedL2Cache.access``).  Each inline booking repeats the single-port
+branch of :meth:`Resource.acquire` statement for statement::
+
+    free = port._free_at[0]
+    start = when if when > free else free
+    completion = start + duration
+    port._free_at[0] = completion
+    port.busy_cycles += duration
+    port.wait_cycles += start - when
+    port.requests_served += 1
+    port.last_completion = completion
+
+so start cycles and all four counters come out bit-identical (the float
+operations run in the same order).  ``last_completion`` is assigned
+unconditionally: with a non-negative duration (these callers' durations
+are latencies, op counts and byte counts) a single port's completions never
+decrease, so it always equals the latest completion, as :meth:`acquire`
+keeps it.  Change the booking rule in :meth:`Resource.acquire` and every
+inline copy together; ``tests/sim/test_engine_properties.py`` checks they
+agree.
 """
 
 from __future__ import annotations
@@ -152,9 +179,20 @@ class BandwidthResource(Resource):
         """Book the link for a transfer; return the completion cycle."""
         # transfer_time(), inlined: every flash and NoC hop passes here.
         duration = self.fixed_latency + num_bytes / self.bytes_per_cycle
-        start = self.acquire(when, duration)
         self.bytes_transferred += num_bytes
-        return start + duration
+        if self.ports != 1:
+            return self.acquire(when, duration) + duration
+        # Single-port booking, inlined (see the module docstring).
+        free_at = self._free_at
+        free = free_at[0]
+        start = when if when > free else free
+        completion = start + duration
+        free_at[0] = completion
+        self.busy_cycles += duration
+        self.wait_cycles += start - when
+        self.requests_served += 1
+        self.last_completion = completion
+        return completion
 
     def achieved_bandwidth(self, horizon: float) -> float:
         """Bytes per cycle actually moved up to ``horizon``."""

@@ -22,7 +22,7 @@ class AccessType(Enum):
         return self is AccessType.READ
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MemoryRequest:
     """A coalesced memory request as seen below the L1 cache.
 
@@ -45,20 +45,40 @@ class MemoryRequest:
     """
 
     address: int
-    size: int = 128
-    access: AccessType = AccessType.READ
-    warp_id: int = 0
-    sm_id: int = 0
-    pc: int = 0
-    issue_cycle: float = 0.0
-    physical_address: Optional[int] = None
+    size: int
+    access: AccessType
+    warp_id: int
+    sm_id: int
+    pc: int
+    issue_cycle: float
+    physical_address: Optional[int]
     is_write: bool = field(init=False, repr=False, compare=False)
     is_read: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        address: int,
+        size: int = 128,
+        access: AccessType = AccessType.READ,
+        warp_id: int = 0,
+        sm_id: int = 0,
+        pc: int = 0,
+        issue_cycle: float = 0.0,
+        physical_address: Optional[int] = None,
+    ) -> None:
+        # Hand-written so that building a request is one call: a generated
+        # __init__ plus __post_init__ would be two per coalesced request.
+        self.address = address
+        self.size = size
+        self.access = access
+        self.warp_id = warp_id
+        self.sm_id = sm_id
+        self.pc = pc
+        self.issue_cycle = issue_cycle
+        self.physical_address = physical_address
         # Precomputed direction flags: the request path consults these many
         # times per request, so pay the enum dereference exactly once.
-        is_write = self.access is AccessType.WRITE
+        is_write = access is AccessType.WRITE
         self.is_write = is_write
         self.is_read = not is_write
 

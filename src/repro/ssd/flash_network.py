@@ -50,13 +50,15 @@ class FlashNetwork:
                 for i in range(config.channels)
             ]
         )
+        self._links = self.links.resources
 
     def link(self, channel: int) -> BandwidthResource:
         return self.links[channel]  # type: ignore[return-value]
 
     def transfer(self, channel: int, num_bytes: int, now: float) -> float:
         """Move ``num_bytes`` over the channel's link; return completion cycle."""
-        return self.link(channel).transfer(now, num_bytes)
+        links = self._links  # link(), inlined: every flash page crosses here
+        return links[channel % len(links)].transfer(now, num_bytes)
 
     @property
     def per_channel_bandwidth_bytes_per_s(self) -> float:

@@ -47,28 +47,15 @@ class FlashGeometry:
         self.blocks_per_plane = config.blocks_per_plane
         self.pages_per_block = config.pages_per_block
         self.page_size_bytes = config.page_size_bytes
+        # Capacity figures are fixed by the config; the hot decode paths
+        # read them as plain attributes.
+        self.planes_per_channel = self.dies_per_channel * self.planes_per_die
+        self.total_planes = self.channels * self.planes_per_channel
+        self.pages_per_plane = self.blocks_per_plane * self.pages_per_block
+        self.total_pages = self.total_planes * self.pages_per_plane
+        self.total_blocks = self.total_planes * self.blocks_per_plane
+        self.capacity_bytes = self.total_pages * self.page_size_bytes
         self._decompose_cache: "dict[int, FlashLocation]" = {}
-
-    # -- capacity -----------------------------------------------------------
-    @property
-    def total_planes(self) -> int:
-        return self.channels * self.dies_per_channel * self.planes_per_die
-
-    @property
-    def pages_per_plane(self) -> int:
-        return self.blocks_per_plane * self.pages_per_block
-
-    @property
-    def total_pages(self) -> int:
-        return self.total_planes * self.pages_per_plane
-
-    @property
-    def total_blocks(self) -> int:
-        return self.total_planes * self.blocks_per_plane
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_pages * self.page_size_bytes
 
     # -- PPN <-> location ----------------------------------------------------
     def decompose(self, ppn: int) -> FlashLocation:
@@ -116,21 +103,31 @@ class FlashGeometry:
         ) * self.planes_per_die + location.plane
 
     def plane_of_ppn(self, ppn: int) -> int:
-        return self.plane_id(self.decompose(ppn))
+        """Flat plane index of a PPN: :meth:`decompose` then :meth:`plane_id`,
+        in integer arithmetic (no :class:`FlashLocation` is built)."""
+        if not 0 <= ppn < self.total_pages:
+            raise ValueError(f"PPN {ppn} out of range (total {self.total_pages})")
+        channels = self.channels
+        dies = self.dies_per_channel
+        rest = ppn // channels
+        return ((ppn % channels) * dies + rest % dies) * self.planes_per_die + (
+            rest // dies) % self.planes_per_die
 
     def block_id(self, location: FlashLocation) -> int:
         """Flat block index (0 .. total_blocks-1)."""
         return self.plane_id(location) * self.blocks_per_plane + location.block
 
     def ppn_of(self, plane_id: int, block: int, page: int) -> int:
-        """Build a PPN from a flat plane index, block and page."""
-        channel = plane_id // (self.dies_per_channel * self.planes_per_die)
-        rest = plane_id % (self.dies_per_channel * self.planes_per_die)
-        die = rest // self.planes_per_die
-        plane = rest % self.planes_per_die
-        return self.compose(
-            FlashLocation(channel=channel, die=die, plane=plane, block=block, page=page)
-        )
+        """Build a PPN from a flat plane index, block and page.
+
+        :meth:`compose` of the plane's coordinates, in integer arithmetic.
+        """
+        planes_per_die = self.planes_per_die
+        rest = plane_id % self.planes_per_channel
+        remainder = (block * self.pages_per_block + page) * planes_per_die + (
+            rest % planes_per_die)
+        remainder = remainder * self.dies_per_channel + rest // planes_per_die
+        return remainder * self.channels + plane_id // self.planes_per_channel
 
     def byte_address_to_ppn(self, byte_address: int) -> int:
         """PPN that holds ``byte_address`` under the linear striped layout."""

@@ -12,24 +12,18 @@ This models the controller of a commercial SSD and of HybridGPU (Fig. 1a):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
-from repro.config import SSDEngineConfig, ZNANDConfig, bandwidth_to_bytes_per_cycle, ns_to_cycles
+from repro.config import SSDEngineConfig, bandwidth_to_bytes_per_cycle, ns_to_cycles
 from repro.gpu.cache import SetAssociativeCache
 from repro.sim.engine import BandwidthResource, Resource
 from repro.ssd.ftl_firmware import PageMappedFTL
 from repro.ssd.znand import ZNANDArray
 
-
-@dataclass
-class EngineServiceResult:
-    """Timing record of one request serviced by the SSD engine."""
-
-    completion_cycle: float
-    breakdown: Dict[str, float]
-    buffer_hit: bool
-    flash_bytes_read: int = 0
+#: Latency components of one serviced request, in the order
+#: :meth:`SSDEngine.service` returns their cycles.
+SERVICE_COMPONENTS = (
+    "ssd_dispatcher", "ssd_engine", "flash_array", "flash_channel", "dram_buffer")
 
 
 class SSDEngine:
@@ -63,43 +57,39 @@ class SSDEngine:
             ports=1,
             fixed_latency=ns_to_cycles(config.dram_buffer_latency_ns),
         )
+        # Component latencies, fixed by the config.
+        #: Dispatcher occupancy per request.
+        self.dispatcher_service_cycles = ns_to_cycles(1e3 / config.dispatcher_requests_per_us)
+        #: Core occupancy per request (throughput limit).
+        self.engine_service_cycles = ns_to_cycles(config.engine_service_ns)
+        #: Pipelined FTL lookup latency added to every request.
+        self.ftl_lookup_cycles = ns_to_cycles(config.ftl_lookup_latency_ns)
         self.requests_serviced = 0
         self.buffer_hits = 0
-
-    # -- component latencies ----------------------------------------------------
-    @property
-    def dispatcher_service_cycles(self) -> float:
-        return ns_to_cycles(1e3 / self.config.dispatcher_requests_per_us)
-
-    @property
-    def engine_service_cycles(self) -> float:
-        """Core occupancy per request (throughput limit)."""
-        return ns_to_cycles(self.config.engine_service_ns)
-
-    @property
-    def ftl_lookup_cycles(self) -> float:
-        """Pipelined FTL lookup latency added to every request."""
-        return ns_to_cycles(self.config.ftl_lookup_latency_ns)
 
     # -- request service ----------------------------------------------------------
     def service(
         self, byte_address: int, size: int, is_write: bool, now: float
-    ) -> EngineServiceResult:
-        """Run one memory request through dispatcher -> engine -> buffer -> flash."""
-        breakdown: Dict[str, float] = {}
+    ) -> Tuple[float, bool, float, float, float, float, float]:
+        """Run one memory request through dispatcher -> engine -> buffer -> flash.
+
+        Returns ``(completion_cycle, buffer_hit, *cycles)`` where ``cycles``
+        are the latencies of the :data:`SERVICE_COMPONENTS`, in that order;
+        the flash components are 0.0 when the DRAM buffer hits.
+        """
         self.requests_serviced += 1
 
         # 1. Request dispatcher (single queue between GPU network and SSD).
         dispatch_start = self.dispatcher.acquire(now, self.dispatcher_service_cycles)
         time = dispatch_start + self.dispatcher_service_cycles
-        breakdown["ssd_dispatcher"] = time - now
+        dispatcher_cycles = time - now
 
         # 2. Embedded cores execute the FTL for this request: the core is
         # occupied for the throughput-limiting service time and the (pipelined)
         # mapping-table lookup adds latency on top.
         engine_start = self.engine_cores.acquire(time, self.engine_service_cycles)
         engine_done = engine_start + self.engine_service_cycles + self.ftl_lookup_cycles
-        breakdown["ssd_engine"] = engine_done - time
+        engine_cycles = engine_done - time
         time = engine_done
 
         lpn = byte_address // self.page_size
@@ -107,12 +97,9 @@ class SSDEngine:
 
         # 3. DRAM buffer lookup.
         buffer_hit = self.dram_buffer.lookup(page_address)
-        flash_bytes = 0
+        array_cycles = channel_cycles = 0.0
         if buffer_hit:
             self.buffer_hits += 1
-            done = self.dram_bus.transfer(time, size)
-            breakdown["dram_buffer"] = done - time
-            time = done
             if is_write:
                 self.dram_buffer.mark_dirty(page_address)
         else:
@@ -121,28 +108,18 @@ class SSDEngine:
                 result = self.ftl.write(lpn, time)
             else:
                 result = self.ftl.read(lpn, time)
-                flash_bytes = self.page_size
-            breakdown["flash_array"] = result.array_cycles
-            breakdown["flash_channel"] = result.transfer_cycles
+            array_cycles = result.array_cycles
+            channel_cycles = result.transfer_cycles
             time = result.completion_cycle
             # Fill the DRAM buffer with the page, evicting dirty pages to flash.
+            # The write-back happens in the background: it occupies the flash
+            # backbone but does not delay this request's completion.
             evicted = self.dram_buffer.insert(page_address, dirty=is_write)
             if evicted is not None and evicted.dirty:
-                evict_lpn = evicted.address // self.page_size
-                evict_result = self.ftl.write(evict_lpn, time)
-                # The eviction happens in the background; it occupies the flash
-                # backbone but does not delay this request's completion.
-                _ = evict_result
-            done = self.dram_bus.transfer(time, size)
-            breakdown["dram_buffer"] = done - time
-            time = done
-
-        return EngineServiceResult(
-            completion_cycle=time,
-            breakdown=breakdown,
-            buffer_hit=buffer_hit,
-            flash_bytes_read=flash_bytes,
-        )
+                self.ftl.write(evicted.address // self.page_size, time)
+        done = self.dram_bus.transfer(time, size)
+        return (done, buffer_hit, dispatcher_cycles, engine_cycles,
+                array_cycles, channel_cycles, done - time)
 
     @property
     def buffer_hit_rate(self) -> float:

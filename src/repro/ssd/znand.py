@@ -17,14 +17,14 @@ benches can report write asymmetry and WAF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.config import GPU_FREQ_HZ, ZNANDConfig
 from repro.sim.engine import Resource
 from repro.ssd.flash_network import FlashNetwork
-from repro.ssd.geometry import FlashGeometry, FlashLocation
+from repro.ssd.geometry import FlashGeometry
 
 
 @dataclass
@@ -35,7 +35,6 @@ class FlashOperationResult:
     completion_cycle: float
     array_cycles: float
     transfer_cycles: float
-    location: Optional[FlashLocation] = None
 
     @property
     def latency(self) -> float:
@@ -118,6 +117,8 @@ class ZNANDArray:
         # cache (repro.core.register_cache), the array only limits concurrency
         # of register <-> array transfers per plane.
         self.registers_per_plane = config.registers_per_plane
+        #: Plane occupancy of one page read (sensing plus command overhead).
+        self.read_array_cycles = config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
         # State tracking.
         self._block_state: Dict[int, BlockState] = {}
         self._page_state: Dict[int, int] = {}
@@ -161,34 +162,27 @@ class ZNANDArray:
         self._page_state[ppn] = PageState.INVALID
 
     # -- timing primitives ----------------------------------------------------
-    def _plane_resource(self, location: FlashLocation) -> Tuple[int, Resource]:
-        plane_id = self.geometry.plane_id(location)
-        return plane_id, self.planes[plane_id]
-
     def read_page(
         self,
         ppn: int,
         now: float,
         transfer_bytes: Optional[int] = None,
-        location: Optional[FlashLocation] = None,
     ) -> FlashOperationResult:
         """Sense a page from the array and ship it over the flash network.
 
         ``transfer_bytes`` allows the caller to move only part of the page
         (e.g. a reduced prefetch granularity); the array sensing time is paid
         in full regardless, which is exactly the granularity mismatch the
-        paper highlights.  ``location`` lets a controller that already
-        decoded the address skip the second decompose (pure function, so the
-        timing is unchanged).
+        paper highlights.
         """
-        if location is None:
-            location = self.geometry.decompose(ppn)
-        plane_id, plane = self._plane_resource(location)
-        array_latency = self.config.read_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
-        start = plane.acquire(now, array_latency)
+        geometry = self.geometry
+        plane_id = geometry.plane_of_ppn(ppn)
+        array_latency = self.read_array_cycles
+        start = self.planes[plane_id].acquire(now, array_latency)
         sensed = start + array_latency
         bytes_to_move = transfer_bytes or self.config.page_size_bytes
-        completion = self.network.transfer(location.channel, bytes_to_move, sensed)
+        completion = self.network.transfer(
+            geometry.channel_of_ppn(ppn), bytes_to_move, sensed)
         self.page_reads += 1
         self.reads_per_plane[plane_id] += 1
         self.bytes_read_from_array += self.config.page_size_bytes
@@ -197,7 +191,6 @@ class ZNANDArray:
             completion_cycle=completion,
             array_cycles=array_latency,
             transfer_cycles=completion - sensed,
-            location=location,
         )
 
     def program_page(
@@ -205,7 +198,8 @@ class ZNANDArray:
     ) -> FlashOperationResult:
         """Transfer data to the plane register and program it into the array."""
         location = self.geometry.decompose(ppn)
-        plane_id, plane = self._plane_resource(location)
+        plane_id = self.geometry.plane_id(location)
+        plane = self.planes[plane_id]
         bytes_to_move = transfer_bytes or self.config.page_size_bytes
         transferred = self.network.transfer(location.channel, bytes_to_move, now)
         array_latency = self.config.program_latency_cycles + self.COMMAND_OVERHEAD_CYCLES
@@ -223,7 +217,6 @@ class ZNANDArray:
             completion_cycle=completion,
             array_cycles=array_latency,
             transfer_cycles=transferred - now,
-            location=location,
         )
 
     def erase_block(self, plane_id: int, block: int, now: float) -> FlashOperationResult:

@@ -4,15 +4,15 @@ import pytest
 
 from repro.config import PrefetchConfig
 from repro.core.access_monitor import AccessMonitor
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import CacheLine
 
 
 def wasted_record():
-    return EvictionRecord(address=0, dirty=False, prefetched=True, accessed=False)
+    return CacheLine(address=0, dirty=False, prefetched=True, accessed=False)
 
 
 def useful_record():
-    return EvictionRecord(address=0, dirty=False, prefetched=True, accessed=True)
+    return CacheLine(address=0, dirty=False, prefetched=True, accessed=True)
 
 
 class TestAccessMonitor:
@@ -77,7 +77,7 @@ class TestAccessMonitor:
 
     def test_non_prefetched_eviction_not_wasteful(self):
         monitor = AccessMonitor(PrefetchConfig(monitor_window_evictions=1000))
-        record = EvictionRecord(address=0, dirty=False, prefetched=False, accessed=False)
+        record = CacheLine(address=0, dirty=False, prefetched=False, accessed=False)
         monitor.observe_eviction(record)
         assert monitor.overall_waste_ratio == 0.0
 

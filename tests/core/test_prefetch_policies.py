@@ -34,23 +34,23 @@ class TestFactory:
 class TestNoPrefetch:
     def test_never_prefetches(self):
         pf = NoPrefetch()
-        decision = pf.on_miss(read())
-        assert not decision.prefetch
-        assert decision.fetch_bytes == 128
+        prefetch, fetch_bytes, reason = pf.on_miss(read())
+        assert not prefetch
+        assert fetch_bytes == 128
         assert pf.prefetch_rate == 0.0
 
 
 class TestNextLine:
     def test_always_fetches_window(self):
         pf = NextLinePrefetch(window_bytes=1024)
-        decision = pf.on_miss(read())
-        assert decision.prefetch
-        assert decision.fetch_bytes == 1024
+        prefetch, fetch_bytes, reason = pf.on_miss(read())
+        assert prefetch
+        assert fetch_bytes == 1024
 
     def test_write_not_prefetched(self):
         pf = NextLinePrefetch()
-        decision = pf.on_miss(MemoryRequest(address=0, access=AccessType.WRITE, pc=1))
-        assert not decision.prefetch
+        prefetch, fetch_bytes, reason = pf.on_miss(MemoryRequest(address=0, access=AccessType.WRITE, pc=1))
+        assert not prefetch
 
 
 class TestStride:
@@ -59,24 +59,25 @@ class TestStride:
         # Train a stride of +1 page at a fixed PC.
         for page in range(5):
             pf.train(read(pc=0x10, page=page))
-        decision = pf.on_miss(read(pc=0x10, page=5))
-        assert decision.prefetch
-        assert decision.reason == "stride_confirmed"
+        prefetch, fetch_bytes, reason = pf.on_miss(read(pc=0x10, page=5))
+        assert prefetch
+        assert reason == "stride_confirmed"
 
     def test_no_prefetch_without_stride(self):
         pf = StridePrefetch(confidence_threshold=2)
         # Random pages -> no consistent stride.
         for page in [3, 17, 1, 42, 8]:
             pf.train(read(pc=0x10, page=page))
-        decision = pf.on_miss(read(pc=0x10, page=99))
-        assert not decision.prefetch
+        prefetch, fetch_bytes, reason = pf.on_miss(read(pc=0x10, page=99))
+        assert not prefetch
 
     def test_different_pcs_independent(self):
         pf = StridePrefetch(confidence_threshold=2)
         for page in range(5):
             pf.train(read(pc=0x10, page=page))
         # A different PC has no history -> no prefetch.
-        assert not pf.on_miss(read(pc=0x20, page=0)).prefetch
+        prefetch, _, _ = pf.on_miss(read(pc=0x20, page=0))
+        assert not prefetch
 
 
 class TestOnPlatform:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import PrefetchConfig
 from repro.core.prefetcher import DynamicReadPrefetcher
-from repro.gpu.cache import EvictionRecord
+from repro.gpu.cache import CacheLine
 from repro.sim.request import AccessType, MemoryRequest
 
 
@@ -15,9 +15,9 @@ def read_request(pc=0x1000, page=0, warp=0):
 class TestPrefetcher:
     def test_no_prefetch_before_training(self):
         prefetcher = DynamicReadPrefetcher()
-        decision = prefetcher.on_miss(read_request())
-        assert not decision.prefetch
-        assert decision.fetch_bytes == prefetcher.line_bytes
+        prefetch, fetch_bytes, reason = prefetcher.on_miss(read_request())
+        assert not prefetch
+        assert fetch_bytes == prefetcher.line_bytes
 
     def test_prefetch_after_training(self):
         config = PrefetchConfig(prefetch_threshold=3)
@@ -25,16 +25,16 @@ class TestPrefetcher:
         request = read_request(page=5)
         for _ in range(5):
             prefetcher.train(request)
-        decision = prefetcher.on_miss(request)
-        assert decision.prefetch
-        assert decision.fetch_bytes > prefetcher.line_bytes
+        prefetch, fetch_bytes, reason = prefetcher.on_miss(request)
+        assert prefetch
+        assert fetch_bytes > prefetcher.line_bytes
 
     def test_write_never_prefetched(self):
         prefetcher = DynamicReadPrefetcher()
         request = MemoryRequest(address=0, access=AccessType.WRITE, pc=0x1000)
-        decision = prefetcher.on_miss(request)
-        assert not decision.prefetch
-        assert decision.reason == "write"
+        prefetch, fetch_bytes, reason = prefetcher.on_miss(request)
+        assert not prefetch
+        assert reason == "write"
 
     def test_write_does_not_train(self):
         prefetcher = DynamicReadPrefetcher()
@@ -47,7 +47,7 @@ class TestPrefetcher:
         prefetcher = DynamicReadPrefetcher(config)
         start = prefetcher.current_granularity
         wasted = [
-            EvictionRecord(address=i, dirty=False, prefetched=True, accessed=False)
+            CacheLine(address=i, dirty=False, prefetched=True, accessed=False)
             for i in range(8)
         ]
         prefetcher.observe_evictions(wasted)
@@ -69,8 +69,8 @@ class TestPrefetcher:
         request = read_request()
         prefetcher.train(request)
         prefetcher.train(request)
-        decision = prefetcher.on_miss(request)
-        assert decision.fetch_bytes <= 4096
+        prefetch, fetch_bytes, reason = prefetcher.on_miss(request)
+        assert fetch_bytes <= 4096
 
     def test_reset(self):
         prefetcher = DynamicReadPrefetcher()

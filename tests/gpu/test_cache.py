@@ -131,6 +131,59 @@ class TestZnGTagExtensions:
         assert cache.unpin_all() == 0
 
 
+class TestEvictionContract:
+    """An eviction returns the evicted line itself, carrying what the old
+    eviction record did: its line-aligned address and its dirty, prefetched
+    and accessed bits."""
+
+    @given(
+        inserts=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=1 << 20),
+                      st.booleans(), st.booleans(), st.booleans()),
+            min_size=1, max_size=80,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evicted_line_carries_record_fields(self, inserts):
+        cache = make_cache(size=1024, assoc=2, line=128)
+        # Shadow model: line address -> [dirty, prefetched, accessed].
+        shadow = {}
+        for address, dirty, prefetched, touch in inserts:
+            line_address = cache.line_address(address)
+            if touch and cache.lookup(address):
+                shadow[line_address][2] = True
+            evicted = cache.insert(address, dirty=dirty, prefetched=prefetched)
+            if line_address in shadow:
+                bits = shadow[line_address]
+                bits[0] = bits[0] or dirty
+                bits[2] = bits[2] or not prefetched
+            else:
+                shadow[line_address] = [dirty, prefetched, not prefetched]
+            if evicted is not None:
+                assert evicted.address == cache.line_address(evicted.address)
+                assert [evicted.dirty, evicted.prefetched, evicted.accessed] == (
+                    shadow.pop(evicted.address))
+                assert not cache.probe(evicted.address)
+
+    def test_for_each_line_addresses(self):
+        cache = make_cache(size=4096, assoc=4, line=128)
+        addresses = [0x0, 0x80, 0x1000, 0x1234, 0x4000 + 64, 0x10080]
+        for address in addresses:
+            cache.insert(address)
+        seen = []
+        cache.for_each_line(lambda address, line: seen.append(address))
+        # Ordered by set index, then recency; each address is line-aligned and
+        # equals (tag * num_sets + set_index) * line_bytes.
+        expected = []
+        for set_index in range(cache.num_sets):
+            for address in addresses:
+                line_number = address // cache.line_bytes
+                if line_number % cache.num_sets == set_index:
+                    tag = line_number // cache.num_sets
+                    expected.append((tag * cache.num_sets + set_index) * cache.line_bytes)
+        assert seen == expected
+
+
 class TestStatistics:
     def test_hit_rate(self):
         cache = make_cache()

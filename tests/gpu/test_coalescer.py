@@ -4,79 +4,59 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.coalescer import CoalescingUnit
-from repro.sim.request import AccessType
 
 
 class TestCoalescing:
     def test_fully_coalesced_warp(self):
         unit = CoalescingUnit()
         addresses = [0x1000 + 4 * i for i in range(32)]  # 128 consecutive bytes
-        requests = unit.coalesce(addresses, AccessType.READ)
-        assert len(requests) == 1
-        assert requests[0].address == 0x1000
-        assert requests[0].size == 128
+        assert list(unit.segments(addresses)) == [0x1000]
 
     def test_straddling_two_segments(self):
         unit = CoalescingUnit()
         addresses = [0x1040 + 4 * i for i in range(32)]  # crosses a 128 B boundary
-        requests = unit.coalesce(addresses, AccessType.READ)
-        assert len(requests) == 2
+        assert len(unit.segments(addresses)) == 2
 
     def test_fully_scattered_warp(self):
         unit = CoalescingUnit()
         addresses = [i * 4096 for i in range(32)]
-        requests = unit.coalesce(addresses, AccessType.READ)
-        assert len(requests) == 32
+        assert len(unit.segments(addresses)) == 32
 
     def test_duplicate_addresses_merge(self):
         unit = CoalescingUnit()
-        requests = unit.coalesce([0x2000] * 32, AccessType.WRITE)
-        assert len(requests) == 1
-        assert requests[0].is_write
-
-    def test_metadata_propagated(self):
-        unit = CoalescingUnit()
-        requests = unit.coalesce(
-            [0x100], AccessType.READ, warp_id=7, sm_id=3, pc=0xcafe, issue_cycle=42.0
-        )
-        request = requests[0]
-        assert request.warp_id == 7
-        assert request.sm_id == 3
-        assert request.pc == 0xcafe
-        assert request.issue_cycle == 42.0
+        assert list(unit.segments([0x2000] * 32)) == [0x2000]
 
     def test_empty_addresses(self):
         unit = CoalescingUnit()
-        assert unit.coalesce([], AccessType.READ) == []
+        assert len(unit.segments([])) == 0
+        assert unit.instructions_coalesced == 0
 
     def test_efficiency_statistic(self):
         unit = CoalescingUnit()
-        unit.coalesce([0x0, 0x80], AccessType.READ)
-        unit.coalesce([0x0], AccessType.READ)
+        unit.segments([0x0, 0x80])
+        unit.segments([0x0])
         assert unit.coalescing_efficiency() == pytest.approx(1.5)
 
     def test_requests_are_aligned(self):
         unit = CoalescingUnit()
-        requests = unit.coalesce([0x1234, 0x5678], AccessType.READ)
-        for request in requests:
-            assert request.address % 128 == 0
+        for segment in unit.segments([0x1234, 0x5678]):
+            assert segment % 128 == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 24), min_size=1, max_size=32))
     @settings(max_examples=60, deadline=None)
     def test_coalesced_count_bounded(self, addresses):
         """Never more requests than threads, never fewer than distinct segments."""
         unit = CoalescingUnit()
-        requests = unit.coalesce(addresses, AccessType.READ)
+        segments = unit.segments(addresses)
         distinct_segments = {a // 128 for a in addresses}
-        assert len(requests) == len(distinct_segments)
-        assert 1 <= len(requests) <= len(addresses)
+        assert len(segments) == len(distinct_segments)
+        assert 1 <= len(segments) <= len(addresses)
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 24), min_size=1, max_size=32))
     @settings(max_examples=60, deadline=None)
     def test_every_thread_address_covered(self, addresses):
         unit = CoalescingUnit()
-        requests = unit.coalesce(addresses, AccessType.READ)
-        segments = {r.address for r in requests}
+        segments = set(unit.segments(addresses))
         for address in addresses:
             assert (address // 128) * 128 in segments
 
@@ -90,11 +70,8 @@ class TestPrecomputedSegments:
 
     def test_matching_request_size_uses_precomputed_segments(self):
         unit = CoalescingUnit(request_bytes=128)
-        requests = unit.coalesce(
-            self._addresses(), AccessType.READ, segments=(4096,)
-        )
-        assert [r.address for r in requests] == [4096]
-        assert all(r.size == 128 for r in requests)
+        precomputed = (4096,)
+        assert unit.segments(self._addresses(), segments=precomputed) is precomputed
 
     def test_ablated_request_size_ignores_precomputed_segments(self):
         # gpu.memory_request_bytes=256 ablation: the 128 B-granular segments
@@ -102,9 +79,8 @@ class TestPrecomputedSegments:
         unit = CoalescingUnit(request_bytes=256)
         addresses = [4096 + 4 * t for t in range(32)] + [4096 + 128 + 4 * t for t in range(32)]
         stale_segments = (4096, 4096 + 128)  # 128 B precompute
-        requests = unit.coalesce(addresses, AccessType.READ, segments=stale_segments)
-        assert [r.address for r in requests] == unit.coalesce_addresses(addresses) == [4096]
-        assert all(r.size == 256 for r in requests)
+        segments = unit.segments(addresses, segments=stale_segments)
+        assert list(segments) == unit.coalesce_addresses(addresses) == [4096]
 
     def test_generated_traces_match_live_coalescing(self):
         from repro.workloads.generators import generate_workload

@@ -31,11 +31,11 @@ class TestConstruction:
 class TestAccessPath:
     def test_read_miss_then_hit_after_fill(self):
         l2 = make_sram_l2()
-        outcome = l2.access(0x1000, is_write=False, now=0.0)
-        assert not outcome.hit
+        hit, _ = l2.access(0x1000, is_write=False, now=0.0)
+        assert not hit
         l2.fill(0x1000, now=10.0)
-        outcome = l2.access(0x1000, is_write=False, now=20.0)
-        assert outcome.hit
+        hit, _ = l2.access(0x1000, is_write=False, now=20.0)
+        assert hit
 
     def test_bank_mapping_consistent(self):
         l2 = make_sram_l2()
@@ -46,27 +46,27 @@ class TestAccessPath:
     def test_write_hit_marks_dirty_in_sram(self):
         l2 = make_sram_l2()
         l2.fill(0x2000, now=0.0)
-        outcome = l2.access(0x2000, is_write=True, now=1.0)
-        assert outcome.hit
+        hit, _ = l2.access(0x2000, is_write=True, now=1.0)
+        assert hit
 
     def test_read_only_l2_bypasses_writes(self):
         l2 = make_stt_l2()
         l2.fill(0x3000, now=0.0)
-        outcome = l2.access(0x3000, is_write=True, now=1.0)
-        assert not outcome.hit
+        hit, _ = l2.access(0x3000, is_write=True, now=1.0)
+        assert not hit
         assert l2.write_bypasses == 1
         # The stale copy must have been invalidated for coherence.
         assert not l2.probe(0x3000)
 
     def test_write_charges_write_latency(self):
         l2 = make_stt_l2()
-        outcome = l2.access(0x100, is_write=True, now=0.0)
-        assert outcome.ready_cycle - 0.0 >= 5
+        _, ready_cycle = l2.access(0x100, is_write=True, now=0.0)
+        assert ready_cycle - 0.0 >= 5
 
     def test_access_latency_read(self):
         l2 = make_sram_l2()
-        outcome = l2.access(0x100, is_write=False, now=10.0)
-        assert outcome.ready_cycle >= 11.0
+        _, ready_cycle = l2.access(0x100, is_write=False, now=10.0)
+        assert ready_cycle >= 11.0
 
 
 class TestFills:
@@ -88,18 +88,32 @@ class TestFills:
         """Fills at future timestamps must not delay earlier demand accesses."""
         l2 = make_sram_l2()
         l2.fill(0x5000, now=1_000_000.0)
-        outcome = l2.access(0x5000 + 128 * 6, is_write=False, now=5.0)  # same bank
-        assert outcome.ready_cycle < 1_000.0
+        _, ready_cycle = l2.access(0x5000 + 128 * 6, is_write=False, now=5.0)  # same bank
+        assert ready_cycle < 1_000.0
 
-    def test_eviction_records_drained(self):
-        l2 = SharedL2Cache(
+    @staticmethod
+    def tiny_l2():
+        return SharedL2Cache(
             name="tiny", size_bytes=6 * 2 * 128, assoc=1, line_bytes=128,
             banks=6, read_latency_cycles=1, write_latency_cycles=1,
         )
+
+    def test_eviction_records_drained(self):
+        l2 = self.tiny_l2()
+        l2.keep_evictions = True  # a consumer drains them
         for i in range(64):
             l2.fill(i * 128, now=0.0, prefetched=True)
         records = l2.drain_evictions()
         assert records
+        assert l2.drain_evictions() == []
+
+    def test_evictions_not_kept_without_consumer(self):
+        l2 = self.tiny_l2()
+        for i in range(64):
+            l2.fill(i * 128, now=0.0, prefetched=True)
+        l2.fill_page(64 * 128, 4096, now=0.0, prefetched=True)
+        assert sum(array.evictions for array in l2._bank_arrays) > 0
+        assert l2.evicted_records == []
         assert l2.drain_evictions() == []
 
     def test_pin_lines_and_unpin(self):

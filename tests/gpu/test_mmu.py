@@ -47,9 +47,9 @@ class TestMMU:
         mmu = self.make_mmu()
         mmu.page_table.map_page(0, frame=0)
         mmu.translate(0x10, now=0.0)
-        result = mmu.translate(0x20, now=500.0)
-        assert result.tlb_hit
-        assert result.latency_cycles == pytest.approx(1.0)
+        _, latency_cycles, tlb_hit, _, _ = mmu.translate(0x20, now=500.0)
+        assert tlb_hit
+        assert latency_cycles == pytest.approx(1.0)
 
     def test_physical_address_composition(self):
         mmu = self.make_mmu()

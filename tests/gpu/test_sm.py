@@ -57,6 +57,52 @@ class TestStreamingMultiprocessor:
         sm.execute_instruction(read, 0, 100.0, constant_memory())
         assert sm.stats.l1_misses >= 1
 
+    def test_requests_below_l1_carry_the_issuing_warp(self):
+        """Each request that leaves the L1 is built from its coalesced
+        segment and the issuing warp (the prefetcher keys on pc and warp)."""
+        sm = StreamingMultiprocessor(3, GPUConfig())
+        seen = []
+
+        def hook(request, now):
+            seen.append(request)
+            return now + 10.0
+
+        read = Instruction(pc=0xCAFE, addresses=[0x100, 0x104, 0x1000])
+        sm.execute_instruction(read, warp_id=7, now=42.0, memory_fn=hook)
+        assert [request.address for request in seen] == [0x100, 0x1000]
+        for request in seen:
+            assert (request.size, request.warp_id, request.sm_id, request.pc) == (
+                128, 7, 3, 0xCAFE)
+            assert request.is_read
+            assert request.issue_cycle == 43.0  # after the one-cycle issue slot
+
+    def test_write_requests_are_writes(self):
+        sm = StreamingMultiprocessor(0, GPUConfig())
+        seen = []
+
+        def hook(request, now):
+            seen.append(request)
+            return now
+
+        write = Instruction(pc=1, addresses=[0x2000] * 32, access=AccessType.WRITE)
+        sm.execute_instruction(write, 0, 0.0, hook)
+        assert [(request.address, request.is_write) for request in seen] == [(0x2000, True)]
+
+    def test_request_size_follows_the_coalescer(self):
+        """A ``gpu.memory_request_bytes`` ablation re-coalesces the thread
+        addresses and sizes the requests to match."""
+        sm = StreamingMultiprocessor(0, GPUConfig(memory_request_bytes=256))
+        seen = []
+
+        def hook(request, now):
+            seen.append(request)
+            return now
+
+        addresses = [4096 + 4 * t for t in range(64)]  # 256 bytes
+        stale = Instruction(pc=1, addresses=addresses, segments=(4096, 4096 + 128))
+        sm.execute_instruction(stale, 0, 0.0, hook)
+        assert [(request.address, request.size) for request in seen] == [(4096, 256)]
+
     def test_reset(self):
         sm = StreamingMultiprocessor(0, GPUConfig())
         sm.execute_instruction(Instruction(pc=0, compute_ops=2), 0, 0.0, constant_memory())

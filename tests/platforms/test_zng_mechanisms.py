@@ -79,3 +79,39 @@ class TestWriteHeatmap:
         platform.run(mix.combined)
         heatmap = platform.array.write_heatmap()
         assert heatmap.sum() > 0
+
+
+class TestL2EvictionRecords:
+    """Only a platform whose prefetcher drains L2 evictions keeps them."""
+
+    @staticmethod
+    def small_l2_config():
+        from dataclasses import replace
+
+        from repro.config import default_config
+
+        config = default_config()
+        return config.copy(
+            gpu=replace(config.gpu, l2_size_bytes=48 * 1024),
+            stt_mram=replace(config.stt_mram, size_bytes=48 * 1024),
+        )
+
+    @pytest.mark.parametrize("name", ["Hetero", "HybridGPU", "Optane",
+                                      "ZnG-base", "ZnG-wropt"])
+    def test_no_consumer_keeps_nothing(self, mix, name):
+        from repro.platforms import build_platform
+
+        platform = build_platform(name, self.small_l2_config())
+        platform.run(mix.combined)
+        assert sum(array.evictions for array in platform.l2._bank_arrays) > 0
+        assert not platform.l2.keep_evictions
+        assert platform.l2.evicted_records == []
+
+    @pytest.mark.parametrize("variant", [ZnGVariant.RDOPT, ZnGVariant.FULL])
+    def test_prefetcher_drains_evictions(self, mix, variant):
+        platform = ZnGPlatform(variant, self.small_l2_config())
+        platform.run(mix.combined)
+        assert platform.l2.keep_evictions
+        assert platform.prefetcher.monitor.total_evictions > 0
+        # Drained after every miss: only lines evicted since the last one wait.
+        assert len(platform.l2.evicted_records) <= platform.l2.banks * 32

@@ -103,3 +103,39 @@ class TestMemoEviction:
         for seed in range(3 * _TRACE_MEMO_MAX_ENTRIES):
             _trace_for(_cell(seed=seed))
             assert len(_TRACE_MEMO) <= _TRACE_MEMO_MAX_ENTRIES
+
+
+#: Two 2-worker golden-scale sweeps through one pool: the second sweep's
+#: traces are published after the workers were forked, so the workers attach
+#: them from shared memory through the parent's resource tracker.
+_TWO_SWEEPS = """
+from repro.analysis.reporting import GOLDEN_SCALE
+from repro.runner import SweepRunner, SweepSpec
+
+for seed in (1, 2):
+    spec = SweepSpec.create(
+        platforms=["ZnG-base", "ZnG"], workloads=["betw-back", "pr-gaus"],
+        scale=GOLDEN_SCALE, seed=seed, warps_per_sm=4,
+        memory_instructions_per_warp=32)
+    result = SweepRunner(workers=2, cache=False).run(spec)
+    assert len(result.runs) == 4
+print("ok")
+"""
+
+
+class TestSharedTraceLifecycle:
+    def test_two_worker_sweep_prints_no_tracker_traceback(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", _TWO_SWEEPS], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+        assert "resource_tracker" not in done.stderr
+        assert "Traceback" not in done.stderr

@@ -233,3 +233,80 @@ class TestPoolInvariants:
         assert pool.least_loaded_index() == 0
         index, start = pool.acquire_least_loaded(5.0, 1.0)
         assert index == 0 and start == 5.0
+
+
+def _counters(resource):
+    return (resource.busy_cycles, resource.wait_cycles,
+            resource.requests_served, resource.last_completion)
+
+
+#: (when, duration) streams in any order: arrivals may go backwards in time,
+#: as they do when several warps share one port.
+_BOOKINGS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+        st.integers(min_value=0, max_value=600),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestInlinedSinglePortBooking:
+    """The hot callers book single ports inline; every booking must match
+    :meth:`Resource.acquire` bit for bit: start cycles and the four counters."""
+
+    @given(bookings=_BOOKINGS,
+           fixed_latency=st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+           bytes_per_cycle=st.floats(min_value=0.5, max_value=64.0, allow_nan=False))
+    @settings(max_examples=80, deadline=None)
+    def test_transfer_matches_acquire(self, bookings, fixed_latency, bytes_per_cycle):
+        link = BandwidthResource("link", bytes_per_cycle, ports=1,
+                                 fixed_latency=fixed_latency)
+        reference = Resource("reference", ports=1)
+        for when, num_bytes in bookings:
+            duration = fixed_latency + num_bytes / bytes_per_cycle
+            expected = reference.acquire(when, duration) + duration
+            assert link.transfer(when, num_bytes) == expected
+            assert _counters(link) == _counters(reference)
+            assert link.next_free() == reference.next_free()
+
+    @given(bookings=_BOOKINGS, writes=st.lists(st.booleans(), min_size=60, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_l2_bank_port_matches_acquire(self, bookings, writes):
+        from repro.config import STTMRAMConfig
+        from repro.gpu.l2cache import SharedL2Cache
+
+        l2 = SharedL2Cache.from_stt_mram_config(STTMRAMConfig())
+        reference = Resource("reference", ports=1)
+        for (when, line), is_write in zip(bookings, writes):
+            address = line * l2.banks * l2.line_bytes  # always bank 0
+            latency = l2.write_latency_cycles if is_write else l2.read_latency_cycles
+            expected = reference.acquire(when, latency) + latency
+            _, ready = l2.access(address, is_write, when)
+            assert ready == expected
+            assert _counters(l2._bank_ports[0]) == _counters(reference)
+
+    @given(bookings=_BOOKINGS, memory=st.lists(st.booleans(), min_size=60, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_sm_issue_port_matches_acquire(self, bookings, memory):
+        from repro.config import GPUConfig
+        from repro.gpu.sm import StreamingMultiprocessor
+        from repro.gpu.warp import Instruction
+
+        sm = StreamingMultiprocessor(0, GPUConfig())
+        reference = Resource("reference", ports=1)
+        for (when, compute_ops), is_memory in zip(bookings, memory):
+            ready = when
+            if compute_ops:
+                ready = reference.acquire(ready, float(compute_ops)) + compute_ops
+            if is_memory:
+                ready = reference.acquire(ready, 1.0) + 1.0
+            instruction = Instruction(
+                pc=0, compute_ops=compute_ops,
+                addresses=[0x1000] if is_memory else [])
+            finished = sm.execute_instruction(
+                instruction, 0, when, lambda request, now: now)
+            if not is_memory:
+                assert finished == ready
+            assert _counters(sm.issue_port) == _counters(reference)

@@ -31,11 +31,13 @@ class TestFlashController:
         assert array.page_programs == 1
         assert result.completion_cycle > 0.0
 
-    def test_decode(self):
+    def test_read_decodes_ppn_to_its_plane(self):
         array = small_array()
-        controller = FlashController(channel=0, array=array)
-        command = controller.decode(5, is_program=False)
-        assert command.location == array.geometry.decompose(5)
+        controller = FlashController(channel=1, array=array)
+        controller.read(5, now=0.0)
+        plane = array.geometry.plane_id(array.geometry.decompose(5))
+        assert array.reads_per_plane[plane] == 1
+        assert array.reads_per_plane.sum() == 1
 
     def test_dispatcher_serializes(self):
         array = small_array()
